@@ -7,7 +7,7 @@ key by dotted path, for example ``train.criteria.lambda=0.5``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -348,7 +348,9 @@ def make_datasets(cfg: DatasetConfig) -> tuple[LabeledDataset, LabeledDataset]:
     """Build the clean train/test pair described by the dataset section.
 
     Blob train and test sets come from disjoint seed streams of the dataset
-    seed, so they are independent draws around the same centers.
+    seed, so they are independent draws around the same centers. IDX train
+    and test sets share one class count, 1 + the largest label in either
+    file, so a class missing from one file still gets its head column.
     """
     if cfg.kind == "blobs":
         train = make_blobs(
@@ -360,4 +362,5 @@ def make_datasets(cfg: DatasetConfig) -> tuple[LabeledDataset, LabeledDataset]:
         return train, test
     train = load_idx(cfg.images, cfg.labels, cfg.normalize)
     test = load_idx(cfg.test_images, cfg.test_labels, cfg.normalize)
-    return train, test
+    k = max(train.k, test.k)
+    return replace(train, k=k), replace(test, k=k)

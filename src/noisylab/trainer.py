@@ -116,16 +116,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class SelectionOutcome:
-    """Indices kept from one batch, ascending, plus the scores they beat."""
+    """Indices kept from one batch, ascending."""
 
     selected_indices: np.ndarray
-    scores: np.ndarray
-    criteria_used: Variant | None = None
 
 
-def select_top_r(
-    scores: np.ndarray, r_percent: float, criteria_used: Variant | None = None
-) -> SelectionOutcome:
+def select_top_r(scores: np.ndarray, r_percent: float) -> SelectionOutcome:
     """Keep the ceil(n * r / 100) highest-scoring indices, never fewer than 1.
 
     Ties break toward the lower original index. Returned indices are sorted
@@ -139,7 +135,7 @@ def select_top_r(
     n = scores.size
     count = min(n, max(1, math.ceil(n * r_percent / 100.0)))
     chosen = np.sort(descending_order(scores)[:count])
-    return SelectionOutcome(chosen, scores, criteria_used)
+    return SelectionOutcome(chosen)
 
 
 def batch_scores(
@@ -244,32 +240,31 @@ def train_epoch(
             )
 
     onehot = np.eye(k)[dataset.observed_labels]
+    clean = dataset.clean_mask
     grad_fn = _grad_fn(config)
     total_selected = 0
     clean_selected = 0
     per_class = np.zeros(k, dtype=np.int64)
 
     for batch in epoch_batches(dataset, config.batch_size, (config.seed, SHUFFLE_STREAM), epoch):
-        x = dataset.features[batch]
-        confidences = state.net.confidences(x)
+        # One forward pass per step: it scores the batch, and the rows that
+        # are kept backpropagate from it.
+        fwd = state.net.forward(dataset.features[batch])
+        observed = dataset.observed_labels[batch]
+        targets = onehot[batch]
         if config.penalty_update is PenaltyUpdate.STACKED:
-            state.acc.stack_confidences(confidences, dataset.observed_labels[batch])
+            state.acc.stack_confidences(fwd.probs, observed)
         if selecting:
             scores = batch_scores(
-                variant,
-                confidences,
-                onehot[batch],
-                state.penalty.labels[dataset.observed_labels[batch]],
-                config.criteria.lam,
+                variant, fwd.probs, targets, state.penalty.labels[observed], config.criteria.lam
             )
-            outcome = select_top_r(scores, config.select_fraction, variant)
-            chosen = batch[outcome.selected_indices]
-            total_selected += chosen.size
-            clean_selected += int(dataset.clean_mask[chosen].sum())
-            per_class += np.bincount(dataset.observed_labels[chosen], minlength=k)
-        else:
-            chosen = batch
-        grads = state.net.backward(dataset.features[chosen], onehot[chosen], grad_fn)
+            kept = select_top_r(scores, config.select_fraction).selected_indices
+            fwd = fwd.take(kept)
+            targets = targets[kept]
+            total_selected += kept.size
+            clean_selected += int(clean[batch[kept]].sum())
+            per_class += np.bincount(observed[kept], minlength=k)
+        grads = state.net.backward(fwd.inputs[0], targets, grad_fn, forward=fwd)
         state.opt.step(state.net, grads, epoch)
 
     if config.penalty_update is PenaltyUpdate.STACKED:

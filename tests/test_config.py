@@ -179,22 +179,30 @@ class TestMakeDatasets:
         assert np.array_equal(train.features, train2.features)
         assert not np.array_equal(train.features[:15], test.features)
 
-    def test_idx_quartet(self, tmp_path):
-        def idx_pair(stem, labels):
+    @staticmethod
+    def idx_config(tmp_path, train_labels, test_labels):
+        paths = {}
+        for stem, labels, keys in (
+            ("train", train_labels, ("images", "labels")),
+            ("t10k", test_labels, ("test_images", "test_labels")),
+        ):
             img = tmp_path / f"{stem}-images.idx"
             lab = tmp_path / f"{stem}-labels.idx"
             n = len(labels)
             img.write_bytes(struct.pack(">IIII", IMAGES_MAGIC, n, 1, 2) + bytes(range(2 * n)))
             lab.write_bytes(struct.pack(">II", LABELS_MAGIC, n) + bytes(labels))
-            return str(img), str(lab)
+            paths.update(zip(keys, (str(img), str(lab))))
+        return DatasetConfig(kind="idx", **paths)
 
-        tr_img, tr_lab = idx_pair("train", [0, 1, 1])
-        te_img, te_lab = idx_pair("t10k", [1, 0])
-        cfg = DatasetConfig(
-            kind="idx", images=tr_img, labels=tr_lab, test_images=te_img, test_labels=te_lab
-        )
-        train, test = make_datasets(cfg)
+    def test_idx_quartet(self, tmp_path):
+        train, test = make_datasets(self.idx_config(tmp_path, [0, 1, 1], [1, 0]))
         assert train.n == 3
         assert test.n == 2
         assert train.d == 2
         assert train.k == 2
+
+    def test_idx_class_count_shared_across_files(self, tmp_path):
+        # the train file lacks class 2; its head must still have 3 columns
+        train, test = make_datasets(self.idx_config(tmp_path, [0, 1, 1, 0], [2, 0, 1]))
+        assert train.k == 3
+        assert test.k == 3

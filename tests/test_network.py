@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import finite_difference_grads, kink_free_batch, relative_gradient_error
 from noisylab.losses import SlConfig, ce_grad_logits, ce_loss, sl_grad_logits, sl_loss
@@ -129,6 +131,29 @@ class TestBackward:
             assert np.allclose(gb1, gb2)
 
 
+    def test_cached_forward_rows_match_fresh_pass(self):
+        rng = np.random.default_rng(2)
+        net = Mlp((3, 6, 5, 4), seed=2)
+        x = rng.standard_normal((12, 3))
+        targets = onehot(rng.integers(0, 4, size=12), 4)
+        rows = np.array([0, 3, 4, 9, 11])
+        cached = net.backward(x[rows], targets[rows], ce_grad_logits, forward=net.forward(x).take(rows))
+        fresh = net.backward(x[rows], targets[rows], ce_grad_logits)
+        for (cw, cb), (fw, fb) in zip(cached, fresh):
+            assert np.allclose(cw, fw, rtol=0.0, atol=1e-12)
+            assert np.allclose(cb, fb, rtol=0.0, atol=1e-12)
+
+    def test_cached_forward_matches_finite_differences(self):
+        rng = np.random.default_rng(3)
+        net = Mlp((3, 6, 5, 4), seed=3)
+        x = kink_free_batch(net, rng, 6, 3)
+        targets = onehot(rng.integers(0, 4, size=6), 4)
+        rows = np.array([1, 2, 5])
+        analytic = net.backward(x[rows], targets[rows], ce_grad_logits, forward=net.forward(x).take(rows))
+        numeric = finite_difference_grads(net, x[rows], targets[rows], ce_loss)
+        assert relative_gradient_error(analytic, numeric) < 1e-4
+
+
 class TestMomentumSgd:
     def test_velocity_accumulates(self):
         # two steps with a constant unit gradient: displacement 1.0 then 1.9
@@ -178,3 +203,33 @@ class TestMomentumSgd:
         grad = [(np.full((1, 1), 1e308), np.zeros(1))]
         with np.errstate(over="ignore"), pytest.raises(NumericalFault):
             opt.step(net, grad, epoch=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        layer=st.integers(0, 2),
+        in_bias=st.booleans(),
+        position=st.integers(0, 10**6),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    def test_nonfinite_parameter_in_any_layer_raises_fault(self, layer, in_bias, position, bad):
+        net = Mlp((3, 4, 5, 2), seed=0)
+        opt = MomentumSgd(net)
+        grads = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
+        target = (net.biases if in_bias else net.weights)[layer]
+        target.flat[position % target.size] = bad
+        with pytest.raises(NumericalFault):
+            opt.step(net, grads, epoch=0)
+
+    def test_layers_stay_views_of_flat_params(self):
+        net = Mlp((2, 3, 2), seed=4)
+        opt = MomentumSgd(net)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((5, 2))
+        t = onehot(rng.integers(0, 2, size=5), 2)
+        for _ in range(4):
+            opt.step(net, net.backward(x, t, ce_grad_logits), epoch=0)
+        assert net.params.size == sum(w.size + b.size for w, b in zip(net.weights, net.biases))
+        for arr in (*net.weights, *net.biases):
+            assert arr.base is net.params
+        net.params[:] = 0.0
+        assert not any(arr.any() for arr in (*net.weights, *net.biases))

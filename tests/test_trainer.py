@@ -202,6 +202,28 @@ class TestTrainEpoch:
         assert stats.precision == 1.0  # labels were never corrupted here
         assert sum(stats.selected_per_class) == stats.train_selected
 
+    def test_selecting_epoch_runs_one_forward_per_batch(self, tiny_blobs, monkeypatch):
+        train, _ = tiny_blobs
+        cfg = small_config(
+            criteria=CriteriaConfig(variant=Variant.ALL),
+            penalty_update=PenaltyUpdate.STACKED,
+            select_fraction=60.0,
+            warmup_epochs=0,
+        )
+        state = init_state(cfg, train.d, train.k)
+        calls = []
+        real_forward = Mlp._forward
+
+        def counting_forward(net, x):
+            calls.append(x.shape[0])
+            return real_forward(net, x)
+
+        monkeypatch.setattr(Mlp, "_forward", counting_forward)
+        stats = train_epoch(state, train, cfg, epoch=0)
+        batches = epoch_batches(train, cfg.batch_size, (cfg.seed, SHUFFLE_STREAM), 0)
+        assert calls == [b.size for b in batches]
+        assert stats.train_selected < train.n
+
     def test_stale_penalty_refused(self, tiny_blobs):
         train, _ = tiny_blobs
         cfg = small_config(
