@@ -17,7 +17,6 @@ from .criteria import (
     ideal_penalty_affine_check,
 )
 from .data import (
-    BatchPlan,
     IdxCountMismatchError,
     IdxFormatError,
     IdxMagicError,
@@ -54,7 +53,6 @@ from .trainer import (
 
 __all__ = [
     "AffineEquivalence",
-    "BatchPlan",
     "ConfidenceAccumulator",
     "CriteriaConfig",
     "IdxCountMismatchError",

@@ -23,6 +23,7 @@ import sys
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 
 from .config import (
@@ -110,31 +111,17 @@ def _parse_lambdas(text: str) -> tuple[float, ...]:
     return values
 
 
-def _parse_variants(text: str) -> tuple[Variant, ...]:
+def _parse_enum_list(text: str, enum: type[Enum], noun: str) -> tuple:
     names = [p.strip() for p in text.split(",") if p.strip()]
     if not names:
-        raise UsageError("variant list is empty")
-    valid = ", ".join(v.value for v in Variant)
+        raise UsageError(f"{noun} list is empty")
+    valid = ", ".join(member.value for member in enum)
     out = []
     for name in names:
         try:
-            out.append(Variant(name))
+            out.append(enum(name))
         except ValueError as exc:
-            raise UsageError(f"unknown variant '{name}' (valid: {valid})") from exc
-    return tuple(out)
-
-
-def _parse_strategies(text: str) -> tuple[PenaltyUpdate, ...]:
-    names = [p.strip() for p in text.split(",") if p.strip()]
-    if not names:
-        raise UsageError("strategy list is empty")
-    valid = ", ".join(s.value for s in PenaltyUpdate)
-    out = []
-    for name in names:
-        try:
-            out.append(PenaltyUpdate(name))
-        except ValueError as exc:
-            raise UsageError(f"unknown strategy '{name}' (valid: {valid})") from exc
+            raise UsageError(f"unknown {noun} '{name}' (valid: {valid})") from exc
     return tuple(out)
 
 
@@ -166,9 +153,15 @@ def _plan(args: argparse.Namespace, config: ExperimentConfig) -> list[tuple[str,
             cfg = replace(base, criteria=replace(base.criteria, lam=lam))
             combos.append((f"{cfg.criteria.variant.value}-lam{lam!r}", cfg))
         return combos
-    variants = _parse_variants(args.variants) if args.variants else (base.criteria.variant,)
+    variants = (
+        _parse_enum_list(args.variants, Variant, "variant")
+        if args.variants
+        else (base.criteria.variant,)
+    )
     strategies = (
-        _parse_strategies(args.strategies) if args.strategies else (base.penalty_update,)
+        _parse_enum_list(args.strategies, PenaltyUpdate, "strategy")
+        if args.strategies
+        else (base.penalty_update,)
     )
     combos = []
     for variant in variants:

@@ -2,21 +2,24 @@
 
 One YAML file describes a whole experiment: the dataset, the noise, the
 training recipe, and where outputs go. Command-line overrides address any
-key by dotted path, for example ``train.criteria.lambda=0.5``.
+key by dotted path, for example ``train.criteria.lambda=0.5``. The keys
+and their value types are the fields of the config dataclasses, and the
+dataclasses check their own ranges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
-from typing import Any
+from types import UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .data import LabeledDataset, load_idx, make_blobs
-from .losses import SlConfig
-from .noise import NoiseSpec
-from .trainer import CriteriaConfig, LossKind, PenaltyUpdate, TrainConfig, Variant
+from .noise import NoiseKind, NoiseSpec
+from .trainer import TrainConfig
 
 OUTPUT_DIR_ENV = "NOISYLAB_OUT"
 KNOWN_FORMATS = ("csv", "json")
@@ -96,12 +99,35 @@ class DatasetConfig:
     test_labels: str | None = None
     normalize: bool = True
 
+    def __post_init__(self) -> None:
+        if self.kind == "idx":
+            for key in ("images", "labels", "test_images", "test_labels"):
+                if not getattr(self, key):
+                    raise ValueError(f"{key} is required when kind is 'idx'")
+        elif self.kind != "blobs":
+            raise ValueError(f"kind must be 'blobs' or 'idx', not '{self.kind}'")
+        elif self.n_per_class < 1 or self.test_per_class < 1:
+            raise ValueError("n_per_class and test_per_class must be positive")
+        elif self.classes < 2:
+            raise ValueError("classes must be at least 2")
+        elif self.dim < 1:
+            raise ValueError("dim must be at least 1")
+        elif self.separation <= 0 or self.spread <= 0:
+            raise ValueError("separation and spread must be positive")
+
 
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str | None = None
-    formats: tuple[str, ...] = ("csv", "json")
+    formats: tuple[str, ...] = KNOWN_FORMATS
     dump_penalty_labels: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.formats:
+            raise ValueError("formats must be a non-empty list")
+        for fmt in self.formats:
+            if fmt not in KNOWN_FORMATS:
+                raise ValueError(f"formats entry '{fmt}' is not one of {KNOWN_FORMATS}")
 
 
 @dataclass(frozen=True)
@@ -112,236 +138,94 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
     seeds: tuple[int, ...] = (1,)
 
+    def __post_init__(self) -> None:
+        if not self.seeds:
+            raise ValueError("seeds must be a non-empty list of integers")
+
     @property
     def trials(self) -> int:
         return len(self.seeds)
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
+# YAML keys that differ from their field names.
+_YAML_KEY = {"lam": "lambda", "directory": "dir"}
+# Library-only fields: execute sets the run seed from each entry of ``seeds``.
+_NOT_YAML = {"train.seed"}
+_TYPE_NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _mapping(value: Any, where: str) -> dict:
     if value is None:
-        value = {}
+        return {}
     if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a mapping")
+        raise ConfigError(f"{where} must be a mapping")
     return value
 
 
-def _reject_unknown(section: dict, name: str, known: set[str]) -> None:
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"unknown key {name}.{key}")
+def _convert(value: Any, hint: Any, where: str) -> Any:
+    """Check one YAML value against a field's type hint and convert it."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        return _convert(value, hint, where)
+    if is_dataclass(hint):
+        return _build(hint, value, where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list")
+        hints = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(hints):
+            raise ConfigError(f"{where} must be a list of {len(hints)} items")
+        return tuple(_convert(v, h, f"{where}[{i}]") for i, (v, h) in enumerate(zip(value, hints)))
+    if issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            valid = ", ".join(member.value for member in hint)
+            raise ConfigError(f"{where} must be one of {valid}") from None
+    # bool subclasses int, so YAML true/false is kept out of numeric fields
+    accepted = (int, float) if hint is float else hint
+    if not isinstance(value, accepted) or isinstance(value, bool) != (hint is bool):
+        raise ConfigError(f"{where} must be {_TYPE_NOUNS[hint]}")
+    return float(value) if hint is float else value
 
 
-def _coerce_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer")
-    return value
+def _build(cls: type, section: Any, where: str) -> Any:
+    """Construct a config dataclass from its YAML mapping.
 
-
-def _coerce_float(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
-    return float(value)
-
-
-def _build_dataset(raw: dict) -> DatasetConfig:
-    section = _section(raw, "dataset")
-    known = {
-        "kind",
-        "n_per_class",
-        "test_per_class",
-        "classes",
-        "dim",
-        "separation",
-        "spread",
-        "seed",
-        "images",
-        "labels",
-        "test_images",
-        "test_labels",
-        "normalize",
-    }
-    _reject_unknown(section, "dataset", known)
-    defaults = DatasetConfig()
-    kind = section.get("kind", defaults.kind)
-    if kind not in ("blobs", "idx"):
-        raise ConfigError(f"dataset.kind must be 'blobs' or 'idx', not '{kind}'")
-    cfg = DatasetConfig(
-        kind=kind,
-        n_per_class=_coerce_int(section.get("n_per_class", defaults.n_per_class), "dataset.n_per_class"),
-        test_per_class=_coerce_int(
-            section.get("test_per_class", defaults.test_per_class), "dataset.test_per_class"
-        ),
-        classes=_coerce_int(section.get("classes", defaults.classes), "dataset.classes"),
-        dim=_coerce_int(section.get("dim", defaults.dim), "dataset.dim"),
-        separation=_coerce_float(section.get("separation", defaults.separation), "dataset.separation"),
-        spread=_coerce_float(section.get("spread", defaults.spread), "dataset.spread"),
-        seed=_coerce_int(section.get("seed", defaults.seed), "dataset.seed"),
-        images=section.get("images"),
-        labels=section.get("labels"),
-        test_images=section.get("test_images"),
-        test_labels=section.get("test_labels"),
-        normalize=bool(section.get("normalize", defaults.normalize)),
-    )
-    if cfg.kind == "blobs":
-        if cfg.n_per_class < 1 or cfg.test_per_class < 1:
-            raise ConfigError("dataset.n_per_class and dataset.test_per_class must be positive")
-        if cfg.classes < 2:
-            raise ConfigError("dataset.classes must be at least 2")
-        if cfg.dim < 1:
-            raise ConfigError("dataset.dim must be at least 1")
-        if cfg.separation <= 0 or cfg.spread <= 0:
-            raise ConfigError("dataset.separation and dataset.spread must be positive")
-    else:
-        for key in ("images", "labels", "test_images", "test_labels"):
-            if not section.get(key):
-                raise ConfigError(f"dataset.{key} is required when dataset.kind is 'idx'")
-    return cfg
-
-
-def _build_noise(raw: dict) -> NoiseSpec:
-    section = _section(raw, "noise")
-    _reject_unknown(section, "noise", {"kind", "epsilon", "epsilon1", "epsilon2"})
-    kind = section.get("kind", "pair")
-    epsilon = section.get("epsilon")
-    if epsilon is None and kind in ("pair", "symmetry"):
-        epsilon = 0.0  # omitting the noise section means clean labels
+    The keys are the dataclass fields, each value is checked and converted
+    by its field's type hint, and the dataclass's ``__post_init__`` does the
+    range checks; its ValueError becomes a ConfigError naming the section.
+    """
+    section = _mapping(section, where)
+    hints = get_type_hints(cls)
+    names = {_YAML_KEY.get(f.name, f.name): f.name for f in fields(cls)}
+    kwargs = {}
+    for key, value in section.items():
+        path = f"{where}.{key}" if where else str(key)
+        if key not in names or path in _NOT_YAML:
+            raise ConfigError(f"unknown key {path}")
+        kwargs[names[key]] = _convert(value, hints[names[key]], path)
     try:
-        return NoiseSpec(
-            kind=kind,
-            epsilon=epsilon,
-            epsilon1=section.get("epsilon1"),
-            epsilon2=section.get("epsilon2"),
-        )
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
-
-
-def _build_criteria(section: dict) -> CriteriaConfig:
-    _reject_unknown(section, "train.criteria", {"variant", "lambda"})
-    defaults = CriteriaConfig()
-    try:
-        return CriteriaConfig(
-            variant=Variant(section.get("variant", defaults.variant)),
-            lam=_coerce_float(section.get("lambda", defaults.lam), "train.criteria.lambda"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train.criteria: {exc}") from exc
-
-
-def _build_sl(section: dict) -> SlConfig:
-    _reject_unknown(section, "train.sl", {"alpha", "beta", "log_zero_clamp"})
-    defaults = SlConfig()
-    try:
-        return SlConfig(
-            alpha=_coerce_float(section.get("alpha", defaults.alpha), "train.sl.alpha"),
-            beta=_coerce_float(section.get("beta", defaults.beta), "train.sl.beta"),
-            log_zero_clamp=_coerce_float(
-                section.get("log_zero_clamp", defaults.log_zero_clamp), "train.sl.log_zero_clamp"
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train.sl: {exc}") from exc
-
-
-def _build_train(raw: dict) -> TrainConfig:
-    section = _section(raw, "train")
-    known = {
-        "epochs",
-        "warmup_epochs",
-        "batch_size",
-        "select_fraction",
-        "hidden",
-        "learning_rate",
-        "lr_milestones",
-        "momentum",
-        "criteria",
-        "penalty_update",
-        "loss",
-        "sl",
-        "seed",
-    }
-    _reject_unknown(section, "train", known)
-    defaults = TrainConfig()
-    criteria = _build_criteria(section.get("criteria") or {})
-    sl = _build_sl(section.get("sl") or {})
-    select_fraction = section.get("select_fraction", defaults.select_fraction)
-    if select_fraction is not None:
-        select_fraction = _coerce_float(select_fraction, "train.select_fraction")
-    hidden = section.get("hidden", list(defaults.hidden))
-    if not isinstance(hidden, (list, tuple)):
-        raise ConfigError("train.hidden must be a list of widths")
-    milestones = section.get("lr_milestones", [list(m) for m in defaults.lr_milestones])
-    if not isinstance(milestones, (list, tuple)) or any(
-        not isinstance(m, (list, tuple)) or len(m) != 2 for m in milestones
-    ):
-        raise ConfigError("train.lr_milestones must be a list of [epoch, factor] pairs")
-    try:
-        return TrainConfig(
-            epochs=_coerce_int(section.get("epochs", defaults.epochs), "train.epochs"),
-            warmup_epochs=_coerce_int(
-                section.get("warmup_epochs", defaults.warmup_epochs), "train.warmup_epochs"
-            ),
-            batch_size=_coerce_int(section.get("batch_size", defaults.batch_size), "train.batch_size"),
-            select_fraction=select_fraction,
-            hidden=tuple(_coerce_int(h, "train.hidden") for h in hidden),
-            learning_rate=_coerce_float(
-                section.get("learning_rate", defaults.learning_rate), "train.learning_rate"
-            ),
-            lr_milestones=tuple(
-                (_coerce_int(e, "train.lr_milestones"), _coerce_float(m, "train.lr_milestones"))
-                for e, m in milestones
-            ),
-            momentum=_coerce_float(section.get("momentum", defaults.momentum), "train.momentum"),
-            criteria=criteria,
-            penalty_update=PenaltyUpdate(section.get("penalty_update", defaults.penalty_update)),
-            loss=LossKind(section.get("loss", defaults.loss)),
-            sl=sl,
-            seed=_coerce_int(section.get("seed", defaults.seed), "train.seed"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from exc
-
-
-def _build_output(raw: dict) -> OutputConfig:
-    section = _section(raw, "output")
-    _reject_unknown(section, "output", {"dir", "formats", "dump_penalty_labels"})
-    formats = section.get("formats", list(KNOWN_FORMATS))
-    if not isinstance(formats, (list, tuple)) or not formats:
-        raise ConfigError("output.formats must be a non-empty list")
-    for fmt in formats:
-        if fmt not in KNOWN_FORMATS:
-            raise ConfigError(f"output.formats entry '{fmt}' is not one of {KNOWN_FORMATS}")
-    return OutputConfig(
-        directory=section.get("dir"),
-        formats=tuple(formats),
-        dump_penalty_labels=bool(section.get("dump_penalty_labels", False)),
-    )
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 def build_config(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping into a typed experiment config."""
-    known = {"dataset", "noise", "train", "output", "seeds", "trials"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown key {key}")
-    seeds = raw.get("seeds", [1])
-    if not isinstance(seeds, (list, tuple)) or not seeds:
-        raise ConfigError("seeds must be a non-empty list of integers")
-    seeds = tuple(_coerce_int(s, "seeds") for s in seeds)
-    if "trials" in raw:
-        trials = _coerce_int(raw["trials"], "trials")
-        if trials != len(seeds):
-            raise ConfigError(f"trials ({trials}) must equal the number of seeds ({len(seeds)})")
-    return ExperimentConfig(
-        dataset=_build_dataset(raw),
-        noise=_build_noise(raw),
-        train=_build_train(raw),
-        output=_build_output(raw),
-        seeds=seeds,
-    )
+    raw = dict(raw)
+    trials = _convert(raw.pop("trials"), int, "trials") if "trials" in raw else None
+    noise = _mapping(raw.get("noise"), "noise")
+    if noise.get("epsilon") is None and noise.get("kind") != NoiseKind.MIXED:
+        # pair and symmetry without a rate, or no noise section: clean labels
+        raw["noise"] = {**noise, "epsilon": 0.0}
+    config = _build(ExperimentConfig, raw, "")
+    if trials is not None and trials != config.trials:
+        raise ConfigError(f"trials ({trials}) must equal the number of seeds ({config.trials})")
+    return config
 
 
 def make_datasets(cfg: DatasetConfig) -> tuple[LabeledDataset, LabeledDataset]:

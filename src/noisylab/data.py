@@ -174,18 +174,6 @@ def load_idx(images_path: str, labels_path: str, normalize: bool = True) -> Labe
     return LabeledDataset(features, labels, labels.copy(), k)
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    """One epoch's visiting order, sliced into consecutive mini-batches."""
-
-    epoch_order: np.ndarray
-    batch_size: int
-
-    def batches(self) -> list[np.ndarray]:
-        n = self.epoch_order.shape[0]
-        return [self.epoch_order[i : i + self.batch_size] for i in range(0, n, self.batch_size)]
-
-
 def epoch_batches(
     dataset: LabeledDataset, batch_size: int, seed: SeedLike, epoch: int
 ) -> list[np.ndarray]:
@@ -198,4 +186,4 @@ def epoch_batches(
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     order = rng_from(seed, epoch).permutation(dataset.n)
-    return BatchPlan(order, batch_size).batches()
+    return [order[i : i + batch_size] for i in range(0, dataset.n, batch_size)]

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .criteria import criteria_ol
+
 # Confidence floor inside the forward log only; keeps -log finite.
 PROB_FLOOR = 1e-12
 
@@ -37,14 +39,9 @@ class SlConfig:
             raise ValueError("log_zero_clamp must be negative")
 
 
-def observed_confidence(confidences: np.ndarray, observed_onehot: np.ndarray) -> np.ndarray:
-    """Confidence assigned to each sample's observed class."""
-    return np.sum(confidences * observed_onehot, axis=-1)
-
-
 def ce_loss(confidences: np.ndarray, observed_onehot: np.ndarray) -> np.ndarray:
     """Cross entropy against the observed label, floored to stay finite."""
-    p = observed_confidence(confidences, observed_onehot)
+    p = criteria_ol(confidences, observed_onehot)
     return -np.log(np.maximum(p, PROB_FLOOR))
 
 
@@ -59,7 +56,7 @@ def rce_loss(
     """
     if log_zero_clamp >= 0:
         raise ValueError("log_zero_clamp must be negative")
-    p = observed_confidence(confidences, observed_onehot)
+    p = criteria_ol(confidences, observed_onehot)
     return -log_zero_clamp * (1.0 - p)
 
 
@@ -87,6 +84,6 @@ def sl_grad_logits(
     The RCE term contributes |clamp| * p_observed * (probs - onehot), so both
     terms share the (probs - onehot) direction with a per-sample scale.
     """
-    p = observed_confidence(confidences, observed_onehot)
+    p = criteria_ol(confidences, observed_onehot)
     scale = config.alpha + config.beta * (-config.log_zero_clamp) * p
     return scale[..., None] * (confidences - observed_onehot)

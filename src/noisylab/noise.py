@@ -41,7 +41,7 @@ class NoiseSpec:
     filled in when omitted).
     """
 
-    kind: NoiseKind
+    kind: NoiseKind = NoiseKind.PAIR
     epsilon: float | None = None
     epsilon1: float | None = None
     epsilon2: float | None = None

@@ -190,19 +190,14 @@ class RunResult:
         return self.records[-1]
 
 
-def _initial_penalty(k: int) -> PenaltyLabelSet:
-    """Placeholder before the first estimate: uniform, flagged as fallback."""
-    labels = np.full((k, k), 1.0 / (k - 1))
-    np.fill_diagonal(labels, 0.0)
-    return PenaltyLabelSet(labels, -1, np.ones(k, dtype=bool))
-
-
 def init_state(config: TrainConfig, d: int, k: int) -> TrainState:
     net = Mlp((d, *config.hidden, k), seed=(config.seed, INIT_STREAM))
     opt = MomentumSgd(
         net, config.momentum, LrSchedule(config.learning_rate, config.lr_milestones)
     )
-    return TrainState(net, opt, ConfidenceAccumulator(k), _initial_penalty(k))
+    acc = ConfidenceAccumulator(k)
+    # Nothing accumulated yet: every row is the uniform fallback, stamped -1.
+    return TrainState(net, opt, acc, estimate_penalty_labels(acc, -1))
 
 
 def _grad_fn(config: TrainConfig) -> GradFn:

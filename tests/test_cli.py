@@ -263,6 +263,32 @@ class TestFailureExits:
         assert err.startswith("error[USAGE]:")
         assert "none, ol, pl, all" in err
 
+    def test_unknown_strategy_is_usage(self, config_path, tmp_path, capsys):
+        code = main(
+            [
+                "compare",
+                "--config",
+                config_path,
+                "--out",
+                str(tmp_path / "o"),
+                "--strategies",
+                "bogus",
+            ]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error[USAGE]:")
+        assert "stacked, repredict" in err
+
+    def test_mistyped_override_is_invalid_config(self, config_path, tmp_path, capsys):
+        code = main(
+            ["run", "--config", config_path, "--out", str(tmp_path / "o"), "--set", "train.sl=5"]
+        )
+        assert code == EXIT_CONFIG_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG_INVALID]:")
+        assert len(err.splitlines()) == 1
+
     def test_missing_config_file_is_parse_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.yaml")])
         assert code == EXIT_CONFIG_PARSE

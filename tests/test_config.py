@@ -1,14 +1,22 @@
 """YAML config loading, dotted overrides, and strict validation."""
 
+import math
 import struct
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from noisylab.config import (
     ConfigError,
     ConfigParseError,
     DatasetConfig,
+    ExperimentConfig,
     apply_overrides,
     build_config,
     load_raw_config,
@@ -151,6 +159,44 @@ trials: 2
         with pytest.raises(ConfigError):
             build_config({"output": {"formats": []}})
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"dataset": {"normalize": "false"}},
+            {
+                "dataset": {
+                    "kind": "idx",
+                    "images": 5,
+                    "labels": "l",
+                    "test_images": "ti",
+                    "test_labels": "tl",
+                }
+            },
+            {"train": {"sl": 5}},
+            {"noise": {"epsilon": "x"}},
+            {"train": {"hidden": 64}},
+            {"dataset": {"seed": True}},
+            {"train": {"criteria": {"lambda": True}}},
+        ],
+        ids=[
+            "normalize-string",
+            "images-int",
+            "sl-scalar",
+            "epsilon-string",
+            "hidden-scalar",
+            "seed-bool",
+            "lambda-bool",
+        ],
+    )
+    def test_mistyped_values_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            build_config(raw)
+
+    def test_train_seed_is_not_a_key(self):
+        # each run's seed comes from ``seeds``; a train.seed would do nothing
+        with pytest.raises(ConfigError, match="unknown key train.seed"):
+            build_config({"train": {"seed": 3}})
+
     def test_seeds_validation(self):
         assert build_config({"seeds": [3, 1, 2]}).seeds == (3, 1, 2)
         with pytest.raises(ConfigError):
@@ -206,3 +252,122 @@ class TestMakeDatasets:
         train, test = make_datasets(self.idx_config(tmp_path, [0, 1, 1, 0], [2, 0, 1]))
         assert train.k == 3
         assert test.k == 3
+
+
+# The YAML spellings of fields whose names differ, as README documents them.
+YAML_NAMES = {"lam": "lambda", "directory": "dir"}
+
+
+def yaml_keys(cls=ExperimentConfig, prefix="", attrs=()):
+    """Every dotted YAML key of the config, mapped to (attribute path, type hint)."""
+    keys = {}
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        path = prefix + YAML_NAMES.get(f.name, f.name)
+        if path == "train.seed":
+            continue
+        keys[path] = (attrs + (f.name,), hints[f.name])
+        if is_dataclass(hints[f.name]):
+            keys.update(yaml_keys(hints[f.name], path + ".", attrs + (f.name,)))
+    return keys
+
+
+def dotted_keys(mapping, prefix=""):
+    keys = set()
+    for key, value in mapping.items():
+        keys.add(prefix + key)
+        if isinstance(value, dict):
+            keys |= dotted_keys(value, prefix + key + ".")
+    return keys
+
+
+def test_readme_configuration_block_matches_the_dataclasses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    raw = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+    build_config(raw)
+    assert dotted_keys(raw) == set(yaml_keys())
+
+
+def numbers(low=-1e6, high=1e6, exclude_low=False, exclude_high=False):
+    """Floats in a range, and the integers in it: YAML ``1`` is a valid float."""
+    floats = st.floats(low, high, exclude_min=exclude_low, exclude_max=exclude_high)
+    ends = {end for end, excluded in ((low, exclude_low), (high, exclude_high)) if excluded}
+    return floats | st.integers(math.ceil(low), math.floor(high)).filter(lambda v: v not in ends)
+
+
+PATHS = st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1)
+MIXED = ["noise.kind=mixed"]
+IDX_PATHS = [f"dataset.{key}=f" for key in ("images", "labels", "test_images", "test_labels")]
+
+# One strategy of valid values per scalar key, plus the overrides that make
+# the value valid in context.
+SCALARS = {
+    "dataset.kind": (st.sampled_from(["blobs", "idx"]), IDX_PATHS),
+    "dataset.n_per_class": (st.integers(1, 10**6), []),
+    "dataset.test_per_class": (st.integers(1, 10**6), []),
+    "dataset.classes": (st.integers(2, 10**4), []),
+    "dataset.dim": (st.integers(1, 10**4), []),
+    "dataset.separation": (numbers(0, exclude_low=True), []),
+    "dataset.spread": (numbers(0, exclude_low=True), []),
+    "dataset.seed": (st.integers(0, 2**63), []),
+    "dataset.images": (PATHS | st.none(), []),
+    "dataset.labels": (PATHS | st.none(), []),
+    "dataset.test_images": (PATHS | st.none(), []),
+    "dataset.test_labels": (PATHS | st.none(), []),
+    "dataset.normalize": (st.booleans(), []),
+    "noise.kind": (st.sampled_from(["pair", "symmetry"]), []),
+    "noise.epsilon": (numbers(0, 1, exclude_high=True), []),
+    "noise.epsilon1": (numbers(0, 0.5), MIXED + ["noise.epsilon2=0.25"]),
+    "noise.epsilon2": (numbers(0, 0.5), MIXED + ["noise.epsilon1=0.25"]),
+    "train.epochs": (st.integers(1, 10**6), ["train.warmup_epochs=0"]),
+    "train.warmup_epochs": (st.integers(0, 10**6), ["train.epochs=1000000"]),
+    "train.batch_size": (st.integers(1, 10**6), []),
+    "train.select_fraction": (numbers(0, 100, exclude_low=True) | st.none(), []),
+    "train.learning_rate": (numbers(), []),
+    "train.momentum": (numbers(), []),
+    "train.penalty_update": (st.sampled_from(["stacked", "repredict"]), []),
+    "train.loss": (st.sampled_from(["ce", "sl"]), []),
+    "train.criteria.variant": (st.sampled_from(["none", "ol", "pl", "all"]), []),
+    "train.criteria.lambda": (numbers(0), []),
+    "train.sl.alpha": (numbers(0), []),
+    "train.sl.beta": (numbers(0), []),
+    "train.sl.log_zero_clamp": (numbers(high=0, exclude_high=True), []),
+    "output.dir": (PATHS | st.none(), []),
+    "output.dump_penalty_labels": (st.booleans(), []),
+}
+
+
+def test_scalar_strategies_cover_every_scalar_key():
+    scalars = {
+        key
+        for key, (_, hint) in yaml_keys().items()
+        if get_origin(hint) is not tuple and not is_dataclass(hint)
+    }
+    assert set(SCALARS) == scalars
+
+
+@given(st.data())
+def test_override_of_any_scalar_key_reaches_its_field(data):
+    key = data.draw(st.sampled_from(sorted(SCALARS)))
+    strategy, context = SCALARS[key]
+    value = data.draw(strategy)
+    text = yaml.safe_dump(value).removesuffix("...\n").strip()
+    config = build_config(apply_overrides({}, context + [f"{key}={text}"]))
+    attrs, hint = yaml_keys()[key]
+    actual = config
+    for attr in attrs:
+        actual = getattr(actual, attr)
+    assert actual == value
+    if float in (hint, *get_args(hint)) and value is not None:
+        assert type(actual) is float
+
+
+@given(
+    st.sampled_from(["", "dataset.", "noise.", "train.", "train.criteria.", "train.sl.", "output."]),
+    st.from_regex(r"[a-z_][a-z0-9_]{0,15}", fullmatch=True),
+)
+def test_key_outside_the_fields_is_rejected(section, key):
+    assume(section + key not in yaml_keys() and section + key != "trials")
+    with pytest.raises(ConfigError, match="unknown key"):
+        build_config(apply_overrides({}, [f"{section}{key}=1"]))

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from noisylab.criteria import criteria_ol as observed_confidence
 from noisylab.losses import (
     PROB_FLOOR,
     SlConfig,
     ce_grad_logits,
     ce_loss,
-    observed_confidence,
     rce_loss,
     sl_grad_logits,
     sl_loss,
