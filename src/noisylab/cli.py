@@ -185,9 +185,9 @@ def _dump_penalty_labels(out_dir: Path, run_id: str, seed: int, result: RunResul
 
 
 def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
+    train_clean, test = make_datasets(config.dataset)
     out_dir = _output_dir(args, config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_clean, test = make_datasets(config.dataset)
 
     labeled_runs = []
     log_lines = []

@@ -141,6 +141,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ValueError("seeds must be a non-empty list of integers")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must not repeat: a repeated seed reruns the same trial")
 
     @property
     def trials(self) -> int:
@@ -246,5 +248,10 @@ def make_datasets(cfg: DatasetConfig) -> tuple[LabeledDataset, LabeledDataset]:
         return train, test
     train = load_idx(cfg.images, cfg.labels, cfg.normalize)
     test = load_idx(cfg.test_images, cfg.test_labels, cfg.normalize)
+    if train.d != test.d:
+        raise ConfigError(
+            f"dataset: images {cfg.images} have {train.d} features per sample "
+            f"but test_images {cfg.test_images} have {test.d}"
+        )
     k = max(train.k, test.k)
     return replace(train, k=k), replace(test, k=k)

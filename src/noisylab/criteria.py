@@ -129,16 +129,13 @@ def estimate_penalty_labels(
     and is marked in the fallback mask.
     """
     k = accumulator.k
-    means = accumulator.class_means()
-    off = means.copy()
+    off = accumulator.class_means()
     np.fill_diagonal(off, 0.0)
     mass = off.sum(axis=1)
     fallback = (accumulator.counts == 0) | (mass <= mass_tol)
 
-    labels = np.empty((k, k), dtype=np.float64)
-    labels[fallback] = 1.0 / (k - 1)
+    labels = PenaltyLabelSet.ideal_symmetric(k).labels
     labels[~fallback] = off[~fallback] / mass[~fallback, None]
-    labels[np.arange(k), np.arange(k)] = 0.0
     estimate = PenaltyLabelSet(labels, epoch, fallback)
     estimate.validate()
     return estimate

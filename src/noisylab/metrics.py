@@ -61,38 +61,6 @@ def mean_and_se(values: Sequence[float]) -> tuple[float, float | None]:
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def aggregate_trials(trials: Sequence[Sequence[RunRecord]]) -> list[dict]:
-    """Per-epoch mean and standard error across repeated trials.
-
-    All trials must cover the same epochs. Precision is aggregated only in
-    epochs where every trial recorded one.
-    """
-    if not trials:
-        raise ValueError("no trials to aggregate")
-    epochs = [r.epoch for r in trials[0]]
-    for t in trials[1:]:
-        if [r.epoch for r in t] != epochs:
-            raise ValueError("trials cover different epochs")
-    rows = []
-    for i, epoch in enumerate(epochs):
-        errs = [t[i].test_error for t in trials]
-        err_mean, err_se = mean_and_se(errs)
-        row = {
-            "epoch": epoch,
-            "test_error_mean": err_mean,
-            "test_error_se": err_se,
-            "precision_mean": None,
-            "precision_se": None,
-        }
-        precs = [t[i].precision for t in trials]
-        if all(p is not None for p in precs):
-            p_mean, p_se = mean_and_se(precs)  # type: ignore[arg-type]
-            row["precision_mean"] = p_mean
-            row["precision_se"] = p_se
-        rows.append(row)
-    return rows
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""

@@ -44,6 +44,8 @@ class LrSchedule:
     def __post_init__(self) -> None:
         if self.initial <= 0:
             raise ValueError("initial learning rate must be positive")
+        if any(factor <= 0 for _, factor in self.milestones):
+            raise ValueError("learning rate milestone factors must be positive")
 
     def rate(self, epoch: int) -> float:
         rate = self.initial
@@ -51,6 +53,11 @@ class LrSchedule:
             if epoch >= milestone:
                 rate *= factor
         return rate
+
+
+def check_momentum(momentum: float) -> None:
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError("momentum must be in [0, 1)")
 
 
 def _flat_layers(sizes: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -152,8 +159,7 @@ class MomentumSgd:
     """
 
     def __init__(self, net: Mlp, momentum: float = 0.9, schedule: LrSchedule | None = None):
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+        check_momentum(momentum)
         self.momentum = momentum
         self.schedule = schedule if schedule is not None else LrSchedule()
         self.velocity, weights, biases = _flat_layers(net.layer_sizes)

@@ -33,8 +33,8 @@ from .criteria import (
 )
 from .data import LabeledDataset, epoch_batches
 from .losses import SlConfig, ce_grad_logits, sl_grad_logits
-from .metrics import RunRecord, test_error
-from .network import GradFn, LrSchedule, MomentumSgd, Mlp
+from .metrics import RunRecord, selection_precision, test_error
+from .network import GradFn, LrSchedule, MomentumSgd, Mlp, check_momentum
 from .noise import NoiseSpec, build_transition, corrupt_labels
 from .seeding import INIT_STREAM, NOISE_STREAM, SHUFFLE_STREAM
 
@@ -112,6 +112,9 @@ class TrainConfig:
             raise ValueError("select_fraction must be in (0, 100]")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden widths must be positive")
+        # The schedule and the optimizer own these ranges; check them before any run.
+        LrSchedule(self.learning_rate, self.lr_milestones)
+        check_momentum(self.momentum)
 
 
 @dataclass(frozen=True)
@@ -235,11 +238,8 @@ def train_epoch(
             )
 
     onehot = np.eye(k)[dataset.observed_labels]
-    clean = dataset.clean_mask
     grad_fn = _grad_fn(config)
-    total_selected = 0
-    clean_selected = 0
-    per_class = np.zeros(k, dtype=np.int64)
+    trained: list[np.ndarray] = []  # the rows each step trains on
 
     for batch in epoch_batches(dataset, config.batch_size, (config.seed, SHUFFLE_STREAM), epoch):
         # One forward pass per step: it scores the batch, and the rows that
@@ -256,9 +256,8 @@ def train_epoch(
             kept = select_top_r(scores, config.select_fraction).selected_indices
             fwd = fwd.take(kept)
             targets = targets[kept]
-            total_selected += kept.size
-            clean_selected += int(clean[batch[kept]].sum())
-            per_class += np.bincount(observed[kept], minlength=k)
+            batch = batch[kept]
+        trained.append(batch)
         grads = state.net.backward(fwd.inputs[0], targets, grad_fn, forward=fwd)
         state.opt.step(state.net, grads, epoch)
 
@@ -272,14 +271,12 @@ def train_epoch(
         )
         state.penalty = estimate_penalty_labels(fresh, epoch)
 
-    if selecting:
-        return EpochStats(
-            total_selected,
-            clean_selected / total_selected if total_selected else None,
-            tuple(int(c) for c in per_class),
-        )
-    counts = np.bincount(dataset.observed_labels, minlength=k)
-    return EpochStats(dataset.n, None, tuple(int(c) for c in counts))
+    rows = np.concatenate(trained)
+    return EpochStats(
+        rows.size,
+        selection_precision(rows, dataset.clean_mask) if selecting else None,
+        tuple(int(c) for c in np.bincount(dataset.observed_labels[rows], minlength=k)),
+    )
 
 
 def resolve_select_fraction(config: TrainConfig, noise_spec: NoiseSpec) -> float:

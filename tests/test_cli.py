@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, overrides, exit codes, determinism."""
 
 import json
+import struct
 
 import pytest
 
@@ -13,6 +14,7 @@ from noisylab.cli import (
     main,
 )
 from noisylab.config import OUTPUT_DIR_ENV
+from noisylab.data import IMAGES_MAGIC, LABELS_MAGIC
 
 SMALL_CONFIG = """
 dataset:
@@ -288,6 +290,45 @@ class TestFailureExits:
         err = capsys.readouterr().err
         assert err.startswith("error[CONFIG_INVALID]:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("train.lr_milestones=[[1, -1.0]]", "milestone factors must be positive"),
+            ("train.momentum=1.5", "momentum must be in [0, 1)"),
+            ("train.learning_rate=0", "learning rate must be positive"),
+        ],
+    )
+    def test_bad_schedule_or_momentum_fails_before_any_output(
+        self, config_path, tmp_path, capsys, override, message
+    ):
+        out = tmp_path / "o"
+        code = main(["run", "--config", config_path, "--out", str(out), "--set", override])
+        assert code == EXIT_CONFIG_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG_INVALID]: train: ")
+        assert message in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_idx_width_mismatch_fails_before_any_output(self, tmp_path, capsys):
+        # 4x4 train images against 3x3 test images
+        lines = ["dataset:", "  kind: idx"]
+        for stem, prefix, side in (("train", "", 4), ("test", "test_", 3)):
+            images, labels = tmp_path / f"{stem}-images", tmp_path / f"{stem}-labels"
+            header = struct.pack(">IIII", IMAGES_MAGIC, 3, side, side)
+            images.write_bytes(header + bytes(3 * side * side))
+            labels.write_bytes(struct.pack(">II", LABELS_MAGIC, 3) + bytes([0, 1, 2]))
+            lines += [f"  {prefix}images: {images}", f"  {prefix}labels: {labels}"]
+        config = tmp_path / "idx.yaml"
+        config.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG_INVALID]: dataset: ")
+        assert str(tmp_path / "train-images") in err and str(tmp_path / "test-images") in err
+        assert "16 features" in err and "have 9" in err
+        assert not out.exists()
 
     def test_missing_config_file_is_parse_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.yaml")])

@@ -204,6 +204,13 @@ trials: 2
         with pytest.raises(ConfigError):
             build_config({"seeds": [1, "two"]})
 
+    def test_seeds_must_not_repeat(self):
+        # two runs of one seed are one draw counted twice in the summary
+        with pytest.raises(ConfigError, match="seeds must not repeat"):
+            build_config({"seeds": [1, 1]})
+        with pytest.raises(ConfigError, match="seeds must not repeat"):
+            build_config({"seeds": [4, 2, 4], "trials": 3})
+
     def test_trials_must_match_seed_count(self):
         assert build_config({"seeds": [1, 2], "trials": 2}).trials == 2
         with pytest.raises(ConfigError):
@@ -324,8 +331,8 @@ SCALARS = {
     "train.warmup_epochs": (st.integers(0, 10**6), ["train.epochs=1000000"]),
     "train.batch_size": (st.integers(1, 10**6), []),
     "train.select_fraction": (numbers(0, 100, exclude_low=True) | st.none(), []),
-    "train.learning_rate": (numbers(), []),
-    "train.momentum": (numbers(), []),
+    "train.learning_rate": (numbers(0, exclude_low=True), []),
+    "train.momentum": (numbers(0, 1, exclude_high=True), []),
     "train.penalty_update": (st.sampled_from(["stacked", "repredict"]), []),
     "train.loss": (st.sampled_from(["ce", "sl"]), []),
     "train.criteria.variant": (st.sampled_from(["none", "ol", "pl", "all"]), []),

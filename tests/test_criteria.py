@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisylab.criteria import (
+    MASS_TOL,
     ConfidenceAccumulator,
     PenaltyLabelSet,
     criteria_all,
@@ -127,6 +130,27 @@ class TestEstimatePenaltyLabels:
             estimate.validate()
             assert np.allclose(estimate.labels.sum(axis=1), 1.0)
             assert np.all(np.diagonal(estimate.labels) == 0.0)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_random_accumulators_give_valid_rows_and_exact_fallbacks(self, data):
+        k = data.draw(st.integers(2, 12))
+        # entries near and below the mass tolerance, and one-hot rows, reach the fallback
+        entry = st.sampled_from([0.0, 1e-300, 1e-13, 1e-12, 2e-12, 1.0]) | st.floats(0.0, 1.0)
+        batch = st.tuples(st.integers(0, k - 1), st.lists(entry, min_size=k, max_size=k))
+        acc = ConfidenceAccumulator(k)
+        for label, confidences in data.draw(st.lists(batch, max_size=3 * k)):
+            acc.stack_confidences(np.array([confidences]), np.array([label]))
+        off = acc.class_means()
+        np.fill_diagonal(off, 0.0)
+
+        estimate = estimate_penalty_labels(acc, epoch=3)
+        estimate.validate()
+        fallback = estimate.fallback_mask
+        assert np.array_equal(fallback, (acc.counts == 0) | (off.sum(axis=1) <= MASS_TOL))
+        uniform = PenaltyLabelSet.ideal_symmetric(k).labels
+        assert estimate.labels[fallback].tobytes() == uniform[fallback].tobytes()
+        assert estimate.epoch_of_estimate == 3
 
 
 class TestPenaltyLabelSet:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from noisylab.metrics import RunRecord, aggregate_trials, mean_and_se, metrics_header
+from noisylab.metrics import RunRecord, mean_and_se, metrics_header
 from noisylab.metrics import test_error as error_rate
 from noisylab.metrics import (
     selection_precision,
@@ -62,25 +62,6 @@ class TestScalars:
     def test_mean_and_se_rejects_empty(self):
         with pytest.raises(ValueError):
             mean_and_se([])
-
-
-class TestAggregateTrials:
-    def test_aligned_epochs(self):
-        t1 = [record(0, 0.3, None), record(1, 0.2, 0.9)]
-        t2 = [record(0, 0.5, None), record(1, 0.4, 0.7)]
-        rows = aggregate_trials([t1, t2])
-        assert rows[0]["test_error_mean"] == pytest.approx(0.4)
-        assert rows[0]["precision_mean"] is None
-        assert rows[1]["precision_mean"] == pytest.approx(0.8)
-        assert rows[1]["test_error_se"] is not None
-
-    def test_rejects_mismatched_epochs(self):
-        with pytest.raises(ValueError):
-            aggregate_trials([[record(0, 0.3)], [record(1, 0.3)]])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            aggregate_trials([])
 
 
 class TestMetricsCsv:

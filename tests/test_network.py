@@ -50,6 +50,12 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             LrSchedule(initial=0.0)
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0])
+    def test_rejects_nonpositive_milestone_factor(self, factor):
+        # a zero factor stalls training; a negative one turns descent into ascent
+        with pytest.raises(ValueError, match="milestone factors must be positive"):
+            LrSchedule(initial=0.1, milestones=((2, 0.5), (5, factor)))
+
 
 class TestMlpInit:
     def test_layer_shapes(self):

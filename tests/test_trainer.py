@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisylab.criteria import (
     ConfidenceAccumulator,
@@ -83,6 +85,22 @@ class TestSelectTopR:
             count = min(n, max(1, math.ceil(n * r / 100.0)))
             expected = sorted(sorted(range(n), key=lambda i: (-scores[i], i))[:count])
             assert select_top_r(scores, r).selected_indices.tolist() == expected
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([-0.0, 0.0, 0.5, 1.0]) | st.floats(-10.0, 10.0), min_size=1, max_size=40
+        ),
+        st.floats(0.0, 100.0, exclude_min=True),
+    )
+    def test_every_share_matches_the_stable_sort_oracle(self, values, drawn_r):
+        # few distinct values force ties; the whole percentages reach every count 1..n
+        n = len(values)
+        ranked = sorted(range(n), key=lambda i: (-values[i], i))
+        for r in (drawn_r, *range(1, 101)):
+            count = min(n, max(1, math.ceil(n * r / 100.0)))
+            kept = select_top_r(np.array(values), r).selected_indices
+            assert kept.tolist() == sorted(ranked[:count])
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
