@@ -11,20 +11,23 @@ All commands write ``metrics.csv`` and/or ``summary.json`` into the output
 directory. Those files carry no timestamps, so reruns with the same config
 produce byte-identical bodies; wall-clock times go to ``run.log`` instead.
 
-Every failure path prints one line ``error[CODE]: message`` to stderr and
-exits nonzero: 2 usage, 3 config parse, 4 invalid config, 5 numerical fault.
+Each expected failure prints one line ``error[CODE]: message`` to stderr and
+exits nonzero: 2 usage, 3 config parse, 4 invalid config or data, 5 numerical
+fault. Anything else is a program error and surfaces as a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
-from enum import Enum
+from enum import EnumMeta
 from pathlib import Path
+from typing import Any, Callable
 
 from .config import (
     OUTPUT_DIR_ENV,
@@ -38,6 +41,7 @@ from .config import (
 )
 from .metrics import summarize_runs, write_metrics_csv, write_summary_json
 from .network import NumericalFault
+from .noise import check_class_count
 from .trainer import PenaltyUpdate, RunResult, TrainConfig, Variant, run_experiment
 
 EXIT_OK = 0
@@ -88,48 +92,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise UsageError("seed list is empty")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"seed list '{text}' must be comma-separated integers") from exc
+def _lambda(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:  # NaN fails this too
+        raise ValueError("lambda values must be finite and non-negative")
+    return value
 
 
-def _parse_lambdas(text: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise UsageError("lambda list is empty")
-    try:
-        values = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"lambda list '{text}' must be comma-separated numbers") from exc
-    if any(v < 0 for v in values):
-        raise UsageError("lambda values must be non-negative")
-    return values
+def _parse_list(text: str, parse: Callable[[str], Any], noun: str) -> tuple:
+    """Parse a comma-separated flag value item by item; any failure is a usage error.
 
-
-def _parse_enum_list(text: str, enum: type[Enum], noun: str) -> tuple:
-    names = [p.strip() for p in text.split(",") if p.strip()]
-    if not names:
+    For an Enum ``parse`` the message lists the valid values.
+    """
+    items = [p.strip() for p in text.split(",") if p.strip()]
+    if not items:
         raise UsageError(f"{noun} list is empty")
-    valid = ", ".join(member.value for member in enum)
-    out = []
-    for name in names:
-        try:
-            out.append(enum(name))
-        except ValueError as exc:
-            raise UsageError(f"unknown {noun} '{name}' (valid: {valid})") from exc
-    return tuple(out)
+    try:
+        return tuple(parse(item) for item in items)
+    except ValueError as exc:
+        reason = str(exc)
+        if isinstance(parse, EnumMeta):
+            reason = "valid: " + ", ".join(m.value for m in parse)
+        raise UsageError(f"bad {noun} list '{text}' ({reason})") from None
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     raw = load_raw_config(args.config)
     raw = apply_overrides(raw, args.set)
     if args.seeds is not None:
-        raw["seeds"] = list(_parse_seeds(args.seeds))
+        raw["seeds"] = list(_parse_list(args.seeds, int, "seed"))
     return build_config(raw)
 
 
@@ -149,20 +140,15 @@ def _plan(args: argparse.Namespace, config: ExperimentConfig) -> list[tuple[str,
         return [(run_id, base)]
     if args.command == "sweep-lambda":
         combos = []
-        for lam in _parse_lambdas(args.lambdas):
+        for lam in _parse_list(args.lambdas, _lambda, "lambda"):
             cfg = replace(base, criteria=replace(base.criteria, lam=lam))
             combos.append((f"{cfg.criteria.variant.value}-lam{lam!r}", cfg))
         return combos
-    variants = (
-        _parse_enum_list(args.variants, Variant, "variant")
-        if args.variants
-        else (base.criteria.variant,)
-    )
-    strategies = (
-        _parse_enum_list(args.strategies, PenaltyUpdate, "strategy")
-        if args.strategies
-        else (base.penalty_update,)
-    )
+    variants, strategies = (base.criteria.variant,), (base.penalty_update,)
+    if args.variants:
+        variants = _parse_list(args.variants, Variant, "variant")
+    if args.strategies:
+        strategies = _parse_list(args.strategies, PenaltyUpdate, "strategy")
     combos = []
     for variant in variants:
         for strategy in strategies:
@@ -185,13 +171,18 @@ def _dump_penalty_labels(out_dir: Path, run_id: str, seed: int, result: RunResul
 
 
 def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
+    plan = _plan(args, config)
     train_clean, test = make_datasets(config.dataset)
+    try:
+        check_class_count(config.noise, train_clean.k)
+    except ValueError as exc:
+        raise ConfigError(f"noise: {exc}") from exc
     out_dir = _output_dir(args, config)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    labeled_runs = []
+    runs = []
     log_lines = []
-    for run_id, train_cfg in _plan(args, config):
+    for run_id, train_cfg in plan:
         for seed in config.seeds:
             cfg = replace(train_cfg, seed=seed)
             started = time.perf_counter()
@@ -199,11 +190,10 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
             elapsed = time.perf_counter() - started
             stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
             log_lines.append(f"{stamp} {run_id} seed={seed} epochs={cfg.epochs} {elapsed:.2f}s")
-            labeled_runs.append((run_id, seed, result))
+            runs.append((run_id, list(result.records)))
             if config.output.dump_penalty_labels:
                 _dump_penalty_labels(out_dir, run_id, seed, result)
 
-    runs = [(run_id, list(result.records)) for run_id, _, result in labeled_runs]
     if "csv" in config.output.formats:
         write_metrics_csv(out_dir / "metrics.csv", runs)
     if "json" in config.output.formats:
@@ -225,11 +215,6 @@ def main(argv: list[str] | None = None) -> int:
         _fail("CONFIG_PARSE", str(exc))
         return EXIT_CONFIG_PARSE
     except ConfigError as exc:
-        _fail("CONFIG_INVALID", str(exc))
-        return EXIT_CONFIG_INVALID
-    except (ValueError, FileNotFoundError) as exc:
-        # Invalid run setups surfaced by domain validation (bad matrix, idx
-        # trouble, impossible selection) count as invalid config here.
         _fail("CONFIG_INVALID", str(exc))
         return EXIT_CONFIG_INVALID
     except NumericalFault as exc:

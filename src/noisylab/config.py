@@ -9,6 +9,7 @@ dataclasses check their own ranges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 import yaml
 
 from .data import LabeledDataset, load_idx, make_blobs
-from .noise import NoiseKind, NoiseSpec
+from .noise import NoiseSpec
 from .trainer import TrainConfig
 
 OUTPUT_DIR_ENV = "NOISYLAB_OUT"
@@ -114,6 +115,8 @@ class DatasetConfig:
             raise ValueError("dim must be at least 1")
         elif self.separation <= 0 or self.spread <= 0:
             raise ValueError("separation and spread must be positive")
+        elif self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -133,14 +136,14 @@ class OutputConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    noise: NoiseSpec = field(default_factory=lambda: NoiseSpec("pair", 0.0))
+    noise: NoiseSpec = field(default_factory=NoiseSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
     seeds: tuple[int, ...] = (1,)
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ValueError("seeds must be a non-empty list of integers")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError("seeds must be a non-empty list of non-negative integers")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must not repeat: a repeated seed reruns the same trial")
 
@@ -153,15 +156,7 @@ class ExperimentConfig:
 _YAML_KEY = {"lam": "lambda", "directory": "dir"}
 # Library-only fields: execute sets the run seed from each entry of ``seeds``.
 _NOT_YAML = {"train.seed"}
-_TYPE_NOUNS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-
-
-def _mapping(value: Any, where: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    return value
+_TYPE_NOUNS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _convert(value: Any, hint: Any, where: str) -> Any:
@@ -187,9 +182,11 @@ def _convert(value: Any, hint: Any, where: str) -> Any:
         except ValueError:
             valid = ", ".join(member.value for member in hint)
             raise ConfigError(f"{where} must be one of {valid}") from None
-    # bool subclasses int, so YAML true/false is kept out of numeric fields
+    # bool subclasses int, so YAML true/false is kept out of numeric fields;
+    # YAML .nan and .inf are floats, so a float field also checks finiteness
     accepted = (int, float) if hint is float else hint
-    if not isinstance(value, accepted) or isinstance(value, bool) != (hint is bool):
+    ok = isinstance(value, accepted) and isinstance(value, bool) == (hint is bool)
+    if not ok or (hint is float and not math.isfinite(value)):
         raise ConfigError(f"{where} must be {_TYPE_NOUNS[hint]}")
     return float(value) if hint is float else value
 
@@ -201,7 +198,9 @@ def _build(cls: type, section: Any, where: str) -> Any:
     by its field's type hint, and the dataclass's ``__post_init__`` does the
     range checks; its ValueError becomes a ConfigError naming the section.
     """
-    section = _mapping(section, where)
+    section = {} if section is None else section
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping")
     hints = get_type_hints(cls)
     names = {_YAML_KEY.get(f.name, f.name): f.name for f in fields(cls)}
     kwargs = {}
@@ -220,10 +219,6 @@ def build_config(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping into a typed experiment config."""
     raw = dict(raw)
     trials = _convert(raw.pop("trials"), int, "trials") if "trials" in raw else None
-    noise = _mapping(raw.get("noise"), "noise")
-    if noise.get("epsilon") is None and noise.get("kind") != NoiseKind.MIXED:
-        # pair and symmetry without a rate, or no noise section: clean labels
-        raw["noise"] = {**noise, "epsilon": 0.0}
     config = _build(ExperimentConfig, raw, "")
     if trials is not None and trials != config.trials:
         raise ConfigError(f"trials ({trials}) must equal the number of seeds ({config.trials})")
@@ -246,8 +241,11 @@ def make_datasets(cfg: DatasetConfig) -> tuple[LabeledDataset, LabeledDataset]:
             cfg.test_per_class, cfg.classes, cfg.dim, cfg.separation, cfg.spread, (cfg.seed, 1)
         )
         return train, test
-    train = load_idx(cfg.images, cfg.labels, cfg.normalize)
-    test = load_idx(cfg.test_images, cfg.test_labels, cfg.normalize)
+    try:
+        train = load_idx(cfg.images, cfg.labels, cfg.normalize)
+        test = load_idx(cfg.test_images, cfg.test_labels, cfg.normalize)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
     if train.d != test.d:
         raise ConfigError(
             f"dataset: images {cfg.images} have {train.d} features per sample "

@@ -111,28 +111,26 @@ class PenaltyLabelSet:
             raise ValueError("penalty label rows must sum to 1")
 
     @classmethod
-    def ideal_symmetric(cls, k: int, epoch: int = -1) -> "PenaltyLabelSet":
-        """Uniform 1/(k-1) off the diagonal; the symmetric-noise ideal."""
+    def ideal_symmetric(cls, k: int) -> "PenaltyLabelSet":
+        """Uniform 1/(k-1) off the diagonal; the symmetric-noise ideal, stamped -1."""
         labels = np.full((k, k), 1.0 / (k - 1))
         np.fill_diagonal(labels, 0.0)
-        return cls(labels, epoch, np.zeros(k, dtype=bool))
+        return cls(labels, -1, np.zeros(k, dtype=bool))
 
 
-def estimate_penalty_labels(
-    accumulator: ConfidenceAccumulator, epoch: int, mass_tol: float = MASS_TOL
-) -> PenaltyLabelSet:
+def estimate_penalty_labels(accumulator: ConfidenceAccumulator, epoch: int) -> PenaltyLabelSet:
     """Penalty labels from accumulated confidences, one row per class.
 
     Each class's mean confidence has its own entry zeroed and the remaining
     entries divided by their total. A class that was never seen, or whose
-    off-class mass is at or below ``mass_tol``, gets the uniform fallback
+    off-class mass is at or below ``MASS_TOL``, gets the uniform fallback
     and is marked in the fallback mask.
     """
     k = accumulator.k
     off = accumulator.class_means()
     np.fill_diagonal(off, 0.0)
     mass = off.sum(axis=1)
-    fallback = (accumulator.counts == 0) | (mass <= mass_tol)
+    fallback = (accumulator.counts == 0) | (mass <= MASS_TOL)
 
     labels = PenaltyLabelSet.ideal_symmetric(k).labels
     labels[~fallback] = off[~fallback] / mass[~fallback, None]

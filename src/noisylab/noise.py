@@ -36,9 +36,9 @@ class NoiseKind(str, Enum):
 class NoiseSpec:
     """Noise family plus rates.
 
-    For pair and symmetry only ``epsilon`` is used. For mixed, ``epsilon1``
-    and ``epsilon2`` are required and ``epsilon`` must equal their sum (it is
-    filled in when omitted).
+    For pair and symmetry only ``epsilon`` is used; left unset it means 0.0,
+    clean labels. For mixed, ``epsilon1`` and ``epsilon2`` are required and
+    ``epsilon`` must equal their sum (it is filled in when omitted).
     """
 
     kind: NoiseKind = NoiseKind.PAIR
@@ -60,7 +60,7 @@ class NoiseSpec:
                 raise ValueError("epsilon must equal epsilon1 + epsilon2")
         else:
             if self.epsilon is None:
-                raise ValueError("epsilon is required")
+                object.__setattr__(self, "epsilon", 0.0)
             if self.epsilon1 is not None or self.epsilon2 is not None:
                 raise ValueError("epsilon1/epsilon2 only apply to mixed noise")
         if not 0.0 <= self.epsilon < 1.0:
@@ -72,12 +72,17 @@ class NoiseSpec:
         return self.kind is NoiseKind.SYMMETRY and self.epsilon > SYMMETRY_WARN_ABOVE
 
 
-def build_transition(spec: NoiseSpec, k: int) -> np.ndarray:
-    """K x K row-stochastic matrix; entry (i, j) = P(observed j | true i)."""
+def check_class_count(spec: NoiseSpec, k: int) -> None:
+    """Raise ValueError unless the noise family can corrupt k classes."""
     if k < 2:
         raise ValueError("k must be at least 2")
     if spec.kind is NoiseKind.MIXED and k == 2:
         raise ValueError("mixed noise needs at least 3 classes")
+
+
+def build_transition(spec: NoiseSpec, k: int) -> np.ndarray:
+    """K x K row-stochastic matrix; entry (i, j) = P(observed j | true i)."""
+    check_class_count(spec, k)
     if spec.exceeds_tested_range:
         warnings.warn(
             f"symmetric noise rate {spec.epsilon} is above {SYMMETRY_WARN_ABOVE}; "

@@ -261,15 +261,12 @@ def train_epoch(
         grads = state.net.backward(fwd.inputs[0], targets, grad_fn, forward=fwd)
         state.opt.step(state.net, grads, epoch)
 
-    if config.penalty_update is PenaltyUpdate.STACKED:
-        state.penalty = estimate_penalty_labels(state.acc, epoch)
-        state.acc.reset()
-    else:
-        fresh = ConfidenceAccumulator(k)
-        fresh.stack_confidences(
+    if config.penalty_update is PenaltyUpdate.REPREDICT:
+        state.acc.stack_confidences(
             predict_in_chunks(state.net, dataset.features), dataset.observed_labels
         )
-        state.penalty = estimate_penalty_labels(fresh, epoch)
+    state.penalty = estimate_penalty_labels(state.acc, epoch)
+    state.acc.reset()
 
     rows = np.concatenate(trained)
     return EpochStats(

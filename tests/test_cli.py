@@ -387,3 +387,106 @@ class TestFailureExits:
         )
         assert code == EXIT_NUMERICAL_FAULT
         assert capsys.readouterr().err.startswith("error[NUMERICAL_FAULT]:")
+
+
+class TestConfigAndDataBoundaries:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["train.criteria.lambda=.nan"],
+            ["dataset.separation=.nan"],
+            ["train.learning_rate=.inf"],
+            ["train.lr_milestones=[[1, .nan]]"],
+            ["train.loss=sl", "train.sl.beta=.nan"],
+        ],
+    )
+    def test_non_finite_number_fails_before_any_output(
+        self, config_path, tmp_path, capsys, overrides
+    ):
+        out = tmp_path / "o"
+        args = ["run", "--config", config_path, "--out", str(out)]
+        for override in overrides:
+            args += ["--set", override]
+        assert main(args) == EXIT_CONFIG_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG_INVALID]:")
+        assert "must be a finite number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lambdas", ["nan,inf", "0.5,-inf", "1e400"])
+    def test_non_finite_lambda_list_is_usage_before_any_output(
+        self, config_path, tmp_path, capsys, lambdas
+    ):
+        out = tmp_path / "o"
+        args = ["sweep-lambda", "--config", config_path, "--out", str(out), "--lambdas", lambdas]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error[USAGE]:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seeds", "2,-1"], "seeds must be a non-empty list of non-negative integers"),
+            (["--set", "dataset.seed=-3"], "dataset: seed must be non-negative"),
+        ],
+    )
+    def test_negative_seed_fails_before_any_output(
+        self, config_path, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "o"
+        assert main(["run", "--config", config_path, "--out", str(out), *flags]) == (
+            EXIT_CONFIG_INVALID
+        )
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG_INVALID]:")
+        assert message in err
+        assert not out.exists()
+
+    def test_mixed_noise_on_two_classes_fails_before_any_output(
+        self, config_path, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        args = ["run", "--config", config_path, "--out", str(out)]
+        for override in (
+            "dataset.classes=2",
+            "noise.kind=mixed",
+            "noise.epsilon=0.3",
+            "noise.epsilon1=0.2",
+            "noise.epsilon2=0.1",
+        ):
+            args += ["--set", override]
+        assert main(args) == EXIT_CONFIG_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG_INVALID]: noise: ")
+        assert "at least 3 classes" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["missing", "bad magic"])
+    def test_unreadable_idx_file_is_invalid_dataset(self, tmp_path, capsys, fault):
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        images.write_bytes(struct.pack(">IIII", IMAGES_MAGIC, 1, 2, 2) + bytes(4))
+        labels.write_bytes(struct.pack(">II", LABELS_MAGIC, 1) + bytes(1))
+        broken = tmp_path / "broken"
+        if fault == "bad magic":
+            broken.write_bytes(struct.pack(">II", 0x1234, 1) + bytes(1))
+        config = tmp_path / "idx.yaml"
+        config.write_text(
+            f"dataset:\n  kind: idx\n  images: {images}\n  labels: {labels}\n"
+            f"  test_images: {images}\n  test_labels: {broken}\n"
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG_INVALID]: dataset: ")
+        assert str(broken) in err
+        assert not out.exists()
+
+    def test_program_error_is_not_reported_as_config_error(
+        self, config_path, tmp_path, monkeypatch
+    ):
+        def broken_run(*args, **kwargs):
+            raise ValueError("internal invariant broken")
+
+        monkeypatch.setattr("noisylab.cli.run_experiment", broken_run)
+        with pytest.raises(ValueError, match="internal invariant broken"):
+            main(["run", "--config", config_path, "--out", str(tmp_path / "o")])

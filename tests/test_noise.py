@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisylab.data import LabeledDataset
 from noisylab.noise import NoiseKind, NoiseSpec, build_transition, corrupt_labels
@@ -181,3 +183,26 @@ class TestCorruptLabels:
             corrupt_labels(dataset, np.ones((3, 3)), seed=0)
         with pytest.raises(ValueError):
             corrupt_labels(dataset, np.eye(4), seed=0)
+
+
+class TestCorruptLabelsProperty:
+    @pytest.mark.filterwarnings("ignore:symmetric noise rate")
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_row_frequencies_within_six_sigma(self, data):
+        kind = data.draw(st.sampled_from(["pair", "symmetry", "mixed"]))
+        k = data.draw(st.integers(3 if kind == "mixed" else 2, 12))
+        if kind == "mixed":
+            spec = NoiseSpec(
+                kind,
+                epsilon1=data.draw(st.floats(0.0, 0.6)),
+                epsilon2=data.draw(st.floats(0.0, 0.35)),
+            )
+        else:
+            spec = NoiseSpec(kind, data.draw(st.floats(0.0, 0.95)))
+        n = 2000
+        dataset = block_dataset(n, k)
+        matrix = build_transition(spec, k)
+        out = corrupt_labels(dataset, matrix, seed=data.draw(st.integers(0, 2**32 - 1)))
+        bound = 6.0 * np.sqrt(matrix * (1.0 - matrix) / n)
+        assert np.all(np.abs(empirical_transition(dataset, out) - matrix) <= bound)
