@@ -19,13 +19,13 @@ fault. Anything else is a program error and surfaces as a traceback.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
 from enum import EnumMeta
+from itertools import product
 from pathlib import Path
 from typing import Any, Callable
 
@@ -42,7 +42,7 @@ from .config import (
 from .metrics import summarize_runs, write_metrics_csv, write_summary_json
 from .network import NumericalFault
 from .noise import check_class_count
-from .trainer import PenaltyUpdate, RunResult, TrainConfig, Variant, run_experiment
+from .trainer import CriteriaConfig, PenaltyUpdate, RunResult, TrainConfig, Variant, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,7 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_command(name: str, run_id: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        # _plan fills run_id per combo; flags a command lacks keep the config's value
+        p.set_defaults(run_id=run_id, variants=None, strategies=None, lambdas=None)
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument(
             "--set",
@@ -77,26 +80,20 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", help="output directory (default: config, then $" + OUTPUT_DIR_ENV + ")")
         p.add_argument("--seeds", help="comma-separated seed list overriding the config")
+        return p
 
-    run_p = sub.add_parser("run", help="run the configured experiment")
-    add_common(run_p)
-
-    sweep_p = sub.add_parser("sweep-lambda", help="repeat the experiment per penalty weight")
-    add_common(sweep_p)
+    add_command("run", "{v}-{s}-lam{lam!r}", "run the configured experiment")
+    sweep_p = add_command("sweep-lambda", "{v}-lam{lam!r}", "repeat the experiment per penalty weight")
     sweep_p.add_argument("--lambdas", required=True, help="comma-separated penalty weights")
 
-    cmp_p = sub.add_parser("compare", help="cross selection variants with update strategies")
-    add_common(cmp_p)
+    cmp_p = add_command("compare", "{v}-{s}", "cross selection variants with update strategies")
     cmp_p.add_argument("--variants", help="comma-separated variants (none, ol, pl, all)")
     cmp_p.add_argument("--strategies", help="comma-separated strategies (stacked, repredict)")
     return parser
 
 
 def _lambda(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < math.inf:  # NaN fails this too
-        raise ValueError("lambda values must be finite and non-negative")
-    return value
+    return CriteriaConfig(lam=float(text)).lam  # CriteriaConfig owns the range check
 
 
 def _parse_list(text: str, parse: Callable[[str], Any], noun: str) -> tuple:
@@ -133,39 +130,30 @@ def _output_dir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
 
 
 def _plan(args: argparse.Namespace, config: ExperimentConfig) -> list[tuple[str, TrainConfig]]:
-    """Expand a command into (run_id, train config) combos."""
+    """Expand a command into (run_id, train config) combos: variants x strategies x lambdas.
+
+    An absent or empty ``--variants``/``--strategies`` means the configured value.
+    """
     base = config.train
-    if args.command == "run":
-        run_id = f"{base.criteria.variant.value}-{base.penalty_update.value}-lam{base.criteria.lam!r}"
-        return [(run_id, base)]
-    if args.command == "sweep-lambda":
-        combos = []
-        for lam in _parse_list(args.lambdas, _lambda, "lambda"):
-            cfg = replace(base, criteria=replace(base.criteria, lam=lam))
-            combos.append((f"{cfg.criteria.variant.value}-lam{lam!r}", cfg))
-        return combos
-    variants, strategies = (base.criteria.variant,), (base.penalty_update,)
-    if args.variants:
-        variants = _parse_list(args.variants, Variant, "variant")
-    if args.strategies:
-        strategies = _parse_list(args.strategies, PenaltyUpdate, "strategy")
-    combos = []
-    for variant in variants:
-        for strategy in strategies:
-            cfg = replace(
-                base, criteria=replace(base.criteria, variant=variant), penalty_update=strategy
-            )
-            combos.append((f"{variant.value}-{strategy.value}", cfg))
-    return combos
+    variants = _parse_list(args.variants, Variant, "variant") if args.variants else (base.criteria.variant,)
+    strategies = (
+        _parse_list(args.strategies, PenaltyUpdate, "strategy") if args.strategies else (base.penalty_update,)
+    )
+    lambdas = (base.criteria.lam,) if args.lambdas is None else _parse_list(args.lambdas, _lambda, "lambda")
+    return [
+        (
+            args.run_id.format(v=variant.value, s=strategy.value, lam=lam),
+            replace(base, criteria=replace(base.criteria, variant=variant, lam=lam), penalty_update=strategy),
+        )
+        for variant, strategy, lam in product(variants, strategies, lambdas)
+    ]
 
 
 def _dump_penalty_labels(out_dir: Path, run_id: str, seed: int, result: RunResult) -> None:
     sub = out_dir / "penalty_labels"
     sub.mkdir(parents=True, exist_ok=True)
     for estimate in result.penalty_history:
-        rows = "\n".join(
-            ",".join(repr(float(v)) for v in row) for row in estimate.labels
-        )
+        rows = "\n".join(",".join(map(repr, row)) for row in estimate.labels.tolist())
         path = sub / f"{run_id}-seed{seed}-epoch{estimate.epoch_of_estimate:03d}.csv"
         path.write_text(rows + "\n", encoding="utf-8", newline="\n")
 

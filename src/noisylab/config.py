@@ -9,7 +9,7 @@ dataclasses check their own ranges.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -183,10 +183,11 @@ def _convert(value: Any, hint: Any, where: str) -> Any:
             valid = ", ".join(member.value for member in hint)
             raise ConfigError(f"{where} must be one of {valid}") from None
     # bool subclasses int, so YAML true/false is kept out of numeric fields;
-    # YAML .nan and .inf are floats, so a float field also checks finiteness
+    # YAML .nan and .inf are floats and YAML integers are unbounded, so a float
+    # field also checks that the value is finite and within the float range
     accepted = (int, float) if hint is float else hint
     ok = isinstance(value, accepted) and isinstance(value, bool) == (hint is bool)
-    if not ok or (hint is float and not math.isfinite(value)):
+    if not ok or (hint is float and not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{where} must be {_TYPE_NOUNS[hint]}")
     return float(value) if hint is float else value
 

@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-ROW_SUM_TOL = 1e-9
+from .noise import ROW_SUM_TOL
+
 MASS_TOL = 1e-12
 
 

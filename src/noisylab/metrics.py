@@ -6,9 +6,12 @@ bodies. Floats are written with repr, the shortest round-trip form.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -61,26 +64,21 @@ def mean_and_se(values: Sequence[float]) -> tuple[float, float | None]:
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# The fixed metrics.csv columns after run_id, each with the RunRecord field it holds.
+_COLUMNS = {
+    "seed": "seed",
+    "variant": "variant",
+    "lambda": "lam",
+    "epoch": "epoch",
+    "train_selected": "train_selected",
+    "precision": "precision",
+    "test_error": "test_error",
+}
+_fixed_cells = attrgetter(*_COLUMNS.values())
 
 
 def metrics_header(k: int) -> list[str]:
-    fixed = [
-        "run_id",
-        "seed",
-        "variant",
-        "lambda",
-        "epoch",
-        "train_selected",
-        "precision",
-        "test_error",
-    ]
-    return fixed + [f"selected_class_{c}" for c in range(k)]
+    return ["run_id", *_COLUMNS, *(f"selected_class_{c}" for c in range(k))]
 
 
 def write_metrics_csv(path: str | Path, runs: Iterable[tuple[str, Sequence[RunRecord]]]) -> None:
@@ -88,41 +86,29 @@ def write_metrics_csv(path: str | Path, runs: Iterable[tuple[str, Sequence[RunRe
 
     Rows are sorted by (run_id, seed, epoch) so the body is byte-identical
     across invocations with the same inputs. Dot decimal separator, LF line
-    endings, header row first.
+    endings, header row first. The csv module writes None as an empty cell
+    and a float by its repr.
     """
     runs = list(runs)
     if not runs:
         raise ValueError("no runs to write")
-    k = len(runs[0][1][0].selected_per_class)
-    lines = [",".join(metrics_header(k))]
     flat = [(run_id, rec) for run_id, records in runs for rec in records]
     flat.sort(key=lambda item: (item[0], item[1].seed, item[1].epoch))
-    for run_id, rec in flat:
-        cells = [
-            run_id,
-            rec.seed,
-            rec.variant,
-            rec.lam,
-            rec.epoch,
-            rec.train_selected,
-            rec.precision,
-            rec.test_error,
-            *rec.selected_per_class,
-        ]
-        lines.append(",".join(_format_cell(c) for c in cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(metrics_header(len(runs[0][1][0].selected_per_class)))
+        writer.writerows([run_id, *_fixed_cells(rec), *rec.selected_per_class] for run_id, rec in flat)
 
 
 def summarize_runs(runs: Iterable[tuple[str, Sequence[RunRecord]]]) -> dict:
     """Best and final figures per run, plus per-run-id aggregates.
 
-    The headline statistic is the best (minimum) test error over epochs.
+    The headline statistic is the best (minimum) test error over epochs. A
+    group aggregates its runs in input order, and takes its variant and
+    lambda from the last of them.
     """
     per_run = []
-    by_id: dict[str, list[float]] = {}
-    meta: dict[str, tuple[str, float]] = {}
     for run_id, records in runs:
-        best = min(r.test_error for r in records)
         final = records[-1]
         per_run.append(
             {
@@ -130,28 +116,26 @@ def summarize_runs(runs: Iterable[tuple[str, Sequence[RunRecord]]]) -> dict:
                 "seed": final.seed,
                 "variant": final.variant,
                 "lambda": final.lam,
-                "best_test_error": best,
+                "best_test_error": min(r.test_error for r in records),
                 "final_test_error": final.test_error,
                 "final_precision": final.precision,
             }
         )
-        by_id.setdefault(run_id, []).append(best)
-        meta[run_id] = (final.variant, final.lam)
-    per_run.sort(key=lambda r: (r["run_id"], r["seed"]))
     groups = []
-    for run_id in sorted(by_id):
-        mean, se = mean_and_se(by_id[run_id])
-        variant, lam = meta[run_id]
+    for run_id, rows in groupby(sorted(per_run, key=itemgetter("run_id")), itemgetter("run_id")):
+        rows = list(rows)
+        mean, se = mean_and_se([r["best_test_error"] for r in rows])
         groups.append(
             {
                 "run_id": run_id,
-                "variant": variant,
-                "lambda": lam,
-                "trials": len(by_id[run_id]),
+                "variant": rows[-1]["variant"],
+                "lambda": rows[-1]["lambda"],
+                "trials": len(rows),
                 "best_test_error_mean": mean,
                 "best_test_error_se": se,
             }
         )
+    per_run.sort(key=lambda r: (r["run_id"], r["seed"]))
     return {"runs": per_run, "groups": groups}
 
 

@@ -46,6 +46,8 @@ class LrSchedule:
             raise ValueError("initial learning rate must be positive")
         if any(factor <= 0 for _, factor in self.milestones):
             raise ValueError("learning rate milestone factors must be positive")
+        if any(epoch < 0 for epoch, _ in self.milestones):
+            raise ValueError("learning rate milestone epochs must be non-negative")
 
     def rate(self, epoch: int) -> float:
         rate = self.initial

@@ -23,6 +23,7 @@ from .seeding import SeedLike, rng_from
 # allowed but flagged.
 SYMMETRY_WARN_ABOVE = 0.6
 
+# The one tolerance on row sums of stochastic matrices: transition and penalty labels.
 ROW_SUM_TOL = 1e-12
 
 
@@ -121,7 +122,7 @@ def corrupt_labels(dataset: LabeledDataset, matrix: np.ndarray, seed: SeedLike) 
     k = dataset.k
     if matrix.shape != (k, k):
         raise ValueError("transition matrix shape must match the dataset's class count")
-    if np.any(matrix < 0) or np.any(np.abs(matrix.sum(axis=1) - 1.0) > 1e-9):
+    if np.any(matrix < 0) or np.any(np.abs(matrix.sum(axis=1) - 1.0) > ROW_SUM_TOL):
         raise ValueError("transition matrix rows must be non-negative and sum to 1")
 
     cumulative = np.cumsum(matrix, axis=1)

@@ -67,8 +67,8 @@ class CriteriaConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variant", Variant(self.variant))
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+        if not 0.0 <= self.lam < math.inf:  # NaN fails this too
+            raise ValueError("lambda must be finite and non-negative")
 
 
 @dataclass(frozen=True)

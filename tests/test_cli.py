@@ -218,6 +218,19 @@ class TestSweepAndCompare:
         ids = [g["run_id"] for g in read_summary(out)["groups"]]
         assert ids == ["all-stacked"]
 
+    def test_empty_variant_list_means_configured_combo(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        args = ["compare", "--config", config_path, "--out", str(out), "--variants", ""]
+        assert main(args) == EXIT_OK
+        assert [g["run_id"] for g in read_summary(out)["groups"]] == ["all-stacked"]
+
+    def test_empty_lambda_list_is_usage(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["sweep-lambda", "--config", config_path, "--out", str(out), "--lambdas", ""]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error[USAGE]: lambda list is empty")
+        assert not out.exists()
+
 
 class TestFailureExits:
     def test_missing_config_flag_is_usage(self, capsys):
@@ -295,6 +308,7 @@ class TestFailureExits:
         "override, message",
         [
             ("train.lr_milestones=[[1, -1.0]]", "milestone factors must be positive"),
+            ("train.lr_milestones=[[-3, 0.5]]", "milestone epochs must be non-negative"),
             ("train.momentum=1.5", "momentum must be in [0, 1)"),
             ("train.learning_rate=0", "learning rate must be positive"),
         ],
@@ -411,6 +425,17 @@ class TestConfigAndDataBoundaries:
         err = capsys.readouterr().err
         assert err.startswith("error[CONFIG_INVALID]:")
         assert "must be a finite number" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["dataset.separation", "train.criteria.lambda"])
+    def test_integer_beyond_float_range_fails_before_any_output(
+        self, config_path, tmp_path, capsys, key
+    ):
+        out = tmp_path / "o"
+        args = ["run", "--config", config_path, "--out", str(out), "--set", f"{key}=1{'0' * 400}"]
+        assert main(args) == EXIT_CONFIG_INVALID
+        err = capsys.readouterr().err
+        assert err == f"error[CONFIG_INVALID]: {key} must be a finite number\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("lambdas", ["nan,inf", "0.5,-inf", "1e400"])

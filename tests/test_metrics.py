@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisylab.metrics import RunRecord, mean_and_se, metrics_header
 from noisylab.metrics import test_error as error_rate
@@ -111,6 +113,49 @@ class TestMetricsCsv:
         with pytest.raises(ValueError):
             write_metrics_csv(tmp_path / "metrics.csv", [])
 
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_cells_follow_the_repr_rule(self, tmp_path_factory, data):
+        # the cell rule the writer has always followed, kept here as the oracle
+        def cell(value):
+            if value is None:
+                return ""
+            return repr(value) if isinstance(value, float) else str(value)
+
+        floats = st.sampled_from([-0.0, 5e-324, 1e300]) | st.floats()
+        k = data.draw(st.integers(1, 4))
+        runs = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            run_id = data.draw(st.text("abcxyz019-.", min_size=1, max_size=12))
+            records = [
+                RunRecord(
+                    epoch=data.draw(st.integers(0, 200)),
+                    test_error=data.draw(floats),
+                    precision=data.draw(st.none() | floats),
+                    train_selected=data.draw(st.integers(0, 10**6)),
+                    selected_per_class=tuple(data.draw(st.lists(st.integers(0, 999), min_size=k, max_size=k))),
+                    lam=data.draw(floats),
+                    seed=data.draw(st.integers(0, 2**31)),
+                    variant=data.draw(st.sampled_from(["none", "ol", "pl", "all"])),
+                )
+                for _ in range(data.draw(st.integers(1, 3)))
+            ]
+            runs.append((run_id, records))
+        path = tmp_path_factory.mktemp("csv") / "metrics.csv"
+        write_metrics_csv(path, runs)
+        expected = [
+            ",".join(
+                cell(c)
+                for c in (run_id, r.seed, r.variant, r.lam, r.epoch, r.train_selected, r.precision, r.test_error)
+                + r.selected_per_class
+            )
+            for run_id, records in runs
+            for r in records
+        ]
+        body = path.read_bytes().decode("utf-8")
+        assert body.endswith("\n") and "\r" not in body
+        assert sorted(body.splitlines()[1:]) == sorted(expected)
+
 
 class TestSummary:
     def test_best_and_final(self):
@@ -125,6 +170,15 @@ class TestSummary:
         assert group["trials"] == 2
         assert group["best_test_error_mean"] == pytest.approx(0.2)
         assert group["best_test_error_se"] is not None
+
+    def test_group_aggregates_in_input_order(self):
+        # the standard error's last bit depends on summation order
+        errors = {3: 0.7, 1: 0.1, 2: 0.2}
+        runs = [("all", [record(0, err, 0.9, seed=seed)]) for seed, err in errors.items()]
+        (group,) = summarize_runs(runs)["groups"]
+        assert group["best_test_error_se"] == mean_and_se([0.7, 0.1, 0.2])[1]
+        assert group["best_test_error_se"] == 0.18559214542766742
+        assert [r["seed"] for r in summarize_runs(runs)["runs"]] == [1, 2, 3]
 
     def test_json_writer_is_deterministic(self, tmp_path):
         summary = summarize_runs([("run", [record(0, 0.3, 0.9)])])

@@ -56,6 +56,14 @@ class TestLrSchedule:
         with pytest.raises(ValueError, match="milestone factors must be positive"):
             LrSchedule(initial=0.1, milestones=((2, 0.5), (5, factor)))
 
+    def test_rejects_negative_milestone_epoch(self):
+        # epoch -3 would already apply its factor at epoch 0
+        with pytest.raises(ValueError, match="milestone epochs must be non-negative"):
+            LrSchedule(initial=0.1, milestones=((-3, 0.5),))
+
+    def test_milestone_at_epoch_zero_applies_from_the_start(self):
+        assert LrSchedule(initial=0.1, milestones=((0, 0.5),)).rate(0) == pytest.approx(0.05)
+
 
 class TestMlpInit:
     def test_layer_shapes(self):

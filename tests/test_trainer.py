@@ -163,6 +163,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             CriteriaConfig(lam=-0.5)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_lambda_must_be_finite(self, lam):
+        # a NaN or infinite weight turns every combined score into garbage
+        with pytest.raises(ValueError, match="lambda must be finite and non-negative"):
+            CriteriaConfig(lam=lam)
+
     def test_resolve_select_fraction(self):
         spec = NoiseSpec("pair", 0.4)
         assert resolve_select_fraction(TrainConfig(), spec) == pytest.approx(60.0)
