@@ -55,8 +55,13 @@ class UsageError(ValueError):
     pass
 
 
-def _fail(code: str, message: str) -> None:
-    print(f"error[{code}]: {message}", file=sys.stderr)
+# The expected failures: exception -> (code in the stderr line, exit status).
+_FAILURES = {
+    UsageError: ("USAGE", EXIT_USAGE),
+    ConfigParseError: ("CONFIG_PARSE", EXIT_CONFIG_PARSE),
+    ConfigError: ("CONFIG_INVALID", EXIT_CONFIG_INVALID),
+    NumericalFault: ("NUMERICAL_FAULT", EXIT_NUMERICAL_FAULT),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +137,8 @@ def _output_dir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
 def _plan(args: argparse.Namespace, config: ExperimentConfig) -> list[tuple[str, TrainConfig]]:
     """Expand a command into (run_id, train config) combos: variants x strategies x lambdas.
 
-    An absent or empty ``--variants``/``--strategies`` means the configured value.
+    An absent or empty ``--variants``/``--strategies`` means the configured value;
+    a repeated list item is a usage error, since it would rerun one combo.
     """
     base = config.train
     variants = _parse_list(args.variants, Variant, "variant") if args.variants else (base.criteria.variant,)
@@ -140,13 +146,17 @@ def _plan(args: argparse.Namespace, config: ExperimentConfig) -> list[tuple[str,
         _parse_list(args.strategies, PenaltyUpdate, "strategy") if args.strategies else (base.penalty_update,)
     )
     lambdas = (base.criteria.lam,) if args.lambdas is None else _parse_list(args.lambdas, _lambda, "lambda")
-    return [
+    plan = [
         (
             args.run_id.format(v=variant.value, s=strategy.value, lam=lam),
             replace(base, criteria=replace(base.criteria, variant=variant, lam=lam), penalty_update=strategy),
         )
         for variant, strategy, lam in product(variants, strategies, lambdas)
     ]
+    run_ids = [run_id for run_id, _ in plan]
+    if len(set(run_ids)) < len(run_ids):
+        raise UsageError(f"a list item repeats, so the plan {', '.join(run_ids)} runs one combo twice")
+    return plan
 
 
 def _dump_penalty_labels(out_dir: Path, run_id: str, seed: int, result: RunResult) -> None:
@@ -170,44 +180,38 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
 
     runs = []
     log_lines = []
-    for run_id, train_cfg in plan:
-        for seed in config.seeds:
-            cfg = replace(train_cfg, seed=seed)
-            started = time.perf_counter()
-            result = run_experiment(cfg, train_clean, test, config.noise)
-            elapsed = time.perf_counter() - started
-            stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-            log_lines.append(f"{stamp} {run_id} seed={seed} epochs={cfg.epochs} {elapsed:.2f}s")
-            runs.append((run_id, list(result.records)))
-            if config.output.dump_penalty_labels:
-                _dump_penalty_labels(out_dir, run_id, seed, result)
-
-    if "csv" in config.output.formats:
-        write_metrics_csv(out_dir / "metrics.csv", runs)
-    if "json" in config.output.formats:
-        write_summary_json(out_dir / "summary.json", summarize_runs(runs))
-    (out_dir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8", newline="\n")
+    try:
+        for run_id, train_cfg in plan:
+            for seed in config.seeds:
+                cfg = replace(train_cfg, seed=seed)
+                started = time.perf_counter()
+                result = run_experiment(cfg, train_clean, test, config.noise)
+                elapsed = time.perf_counter() - started
+                stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+                log_lines.append(f"{stamp} {run_id} seed={seed} epochs={cfg.epochs} {elapsed:.2f}s")
+                runs.append((run_id, list(result.records)))
+                if config.output.dump_penalty_labels:
+                    _dump_penalty_labels(out_dir, run_id, seed, result)
+    finally:
+        # a failing run still leaves the files of the runs that finished before it
+        if runs:
+            if "csv" in config.output.formats:
+                write_metrics_csv(out_dir / "metrics.csv", runs)
+            if "json" in config.output.formats:
+                write_summary_json(out_dir / "summary.json", summarize_runs(runs))
+            (out_dir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8", newline="\n")
     return out_dir
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
-        execute(args, config)
-    except UsageError as exc:
-        _fail("USAGE", str(exc))
-        return EXIT_USAGE
-    except ConfigParseError as exc:
-        _fail("CONFIG_PARSE", str(exc))
-        return EXIT_CONFIG_PARSE
-    except ConfigError as exc:
-        _fail("CONFIG_INVALID", str(exc))
-        return EXIT_CONFIG_INVALID
-    except NumericalFault as exc:
-        _fail("NUMERICAL_FAULT", str(exc))
-        return EXIT_NUMERICAL_FAULT
+        execute(args, _load_config(args))
+    except tuple(_FAILURES) as exc:
+        code, status = _FAILURES[type(exc)]
+        # one line per failure, even for a multi-line parser report
+        print(f"error[{code}]: " + str(exc).replace("\n", " "), file=sys.stderr)
+        return status
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from types import UnionType
-from typing import Any, Union, get_args, get_origin, get_type_hints
+from typing import Any, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -162,7 +162,7 @@ _TYPE_NOUNS = {bool: "a boolean", int: "an integer", float: "a finite number", s
 def _convert(value: Any, hint: Any, where: str) -> Any:
     """Check one YAML value against a field's type hint and convert it."""
     origin, args = get_origin(hint), get_args(hint)
-    if origin in (Union, UnionType):
+    if origin is UnionType:
         if value is None:
             return None
         (hint,) = (a for a in args if a is not type(None))

@@ -7,6 +7,7 @@ exist so that metrics can score selection quality after the fact.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -18,19 +19,15 @@ IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
 
-class IdxFormatError(ValueError):
-    """Base class for malformed IDX input."""
-
-
-class IdxMagicError(IdxFormatError):
+class IdxMagicError(ValueError):
     """Magic number does not identify an images or labels file."""
 
 
-class IdxCountMismatchError(IdxFormatError):
+class IdxCountMismatchError(ValueError):
     """Images and labels files disagree on the sample count."""
 
 
-class IdxTruncatedError(IdxFormatError):
+class IdxTruncatedError(ValueError):
     """File ends before the declared payload."""
 
 
@@ -62,7 +59,7 @@ class LabeledDataset:
         if self.k < 1:
             raise ValueError("k must be at least 1")
         for name, arr in (("true_labels", t), ("observed_labels", o)):
-            if arr.size and (arr.min() < 0 or arr.max() >= self.k):
+            if arr.min() < 0 or arr.max() >= self.k:
                 raise ValueError(f"{name} must lie in [0, k)")
 
     @property
@@ -131,14 +128,21 @@ def make_blobs(
     return LabeledDataset(features, labels, labels.copy(), k)
 
 
-def _read_idx_header(raw: bytes, path: str, expected_magic: int, header_len: int) -> tuple[int, ...]:
+def _read_idx(path: str, magic: int, ndim: int) -> np.ndarray:
+    """One IDX file as a uint8 array of ``ndim`` dims viewing the file bytes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # IDX headers are big-endian 32-bit words: magic, then one size per dim.
+    header_len = 4 * (1 + ndim)
     if len(raw) < header_len:
         raise IdxTruncatedError(f"{path}: header cut short ({len(raw)} bytes)")
-    # IDX headers are big-endian 32-bit words: magic, then one count per dim.
-    words = struct.unpack(f">{header_len // 4}I", raw[:header_len])
-    if words[0] != expected_magic:
-        raise IdxMagicError(f"{path}: bad magic 0x{words[0]:08x}")
-    return words[1:]
+    found, *dims = struct.unpack_from(f">{1 + ndim}I", raw)
+    if found != magic:
+        raise IdxMagicError(f"{path}: bad magic 0x{found:08x}")
+    count = math.prod(dims)
+    if len(raw) - header_len < count:
+        raise IdxTruncatedError(f"{path}: payload cut short")
+    return np.frombuffer(raw, np.uint8, count, header_len).reshape(dims)
 
 
 def load_idx(images_path: str, labels_path: str, normalize: bool = True) -> LabeledDataset:
@@ -148,30 +152,18 @@ def load_idx(images_path: str, labels_path: str, normalize: bool = True) -> Labe
     scaled from [0, 255] to [0, 1]. The observed labels start out equal to
     the file labels; corruption is a separate step.
     """
-    with open(images_path, "rb") as fh:
-        img_raw = fh.read()
-    with open(labels_path, "rb") as fh:
-        lab_raw = fh.read()
-
-    n_img, rows, cols = _read_idx_header(img_raw, images_path, IMAGES_MAGIC, 16)
-    (n_lab,) = _read_idx_header(lab_raw, labels_path, LABELS_MAGIC, 8)
-    if n_img != n_lab:
+    images = _read_idx(images_path, IMAGES_MAGIC, 3)
+    labels = _read_idx(labels_path, LABELS_MAGIC, 1)
+    n_img, rows, cols = images.shape
+    if n_img != labels.size:
         raise IdxCountMismatchError(
-            f"{images_path} holds {n_img} images but {labels_path} holds {n_lab} labels"
+            f"{images_path} holds {n_img} images but {labels_path} holds {labels.size} labels"
         )
-    pixels = img_raw[16:]
-    if len(pixels) < n_img * rows * cols:
-        raise IdxTruncatedError(f"{images_path}: payload cut short")
-    if len(lab_raw) - 8 < n_lab:
-        raise IdxTruncatedError(f"{labels_path}: payload cut short")
-
-    features = np.frombuffer(pixels[: n_img * rows * cols], dtype=np.uint8)
-    features = features.reshape(n_img, rows * cols).astype(np.float64)
+    features = images.reshape(n_img, rows * cols).astype(np.float64)
     if normalize:
-        features = features / 255.0
-    labels = np.frombuffer(lab_raw[8 : 8 + n_lab], dtype=np.uint8).astype(np.int64)
+        features /= 255.0
     k = int(labels.max()) + 1 if labels.size else 1
-    return LabeledDataset(features, labels, labels.copy(), k)
+    return LabeledDataset(features, labels, labels, k)
 
 
 def epoch_batches(

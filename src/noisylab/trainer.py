@@ -295,6 +295,8 @@ def run_experiment(
     seed see the same noisy labels no matter which variant they train.
     Returns per-epoch records plus every penalty estimate along the way.
     """
+    if (got := (test.k, test.d)) != (want := (train_clean.k, train_clean.d)):
+        raise ValueError(f"test set (k, d) = {got} must equal the train set's {want}")
     matrix = build_transition(noise_spec, train_clean.k)
     noisy = corrupt_labels(train_clean, matrix, (config.seed, NOISE_STREAM))
     resolved = replace(config, select_fraction=resolve_select_fraction(config, noise_spec))

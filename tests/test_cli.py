@@ -15,6 +15,8 @@ from noisylab.cli import (
 )
 from noisylab.config import OUTPUT_DIR_ENV
 from noisylab.data import IMAGES_MAGIC, LABELS_MAGIC
+from noisylab.network import NumericalFault
+from noisylab.trainer import run_experiment
 
 SMALL_CONFIG = """
 dataset:
@@ -224,6 +226,26 @@ class TestSweepAndCompare:
         assert main(args) == EXIT_OK
         assert [g["run_id"] for g in read_summary(out)["groups"]] == ["all-stacked"]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["compare", "--variants", "ol,ol"],
+            ["compare", "--variants", "ol,all", "--strategies", "stacked,stacked"],
+            ["sweep-lambda", "--lambdas", "0.5,0.5"],
+            ["sweep-lambda", "--lambdas", "1,1.0"],
+        ],
+    )
+    def test_repeated_list_item_is_usage_before_any_output(
+        self, config_path, tmp_path, capsys, flags
+    ):
+        out = tmp_path / "out"
+        command, *rest = flags
+        assert main([command, "--config", config_path, "--out", str(out), *rest]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error[USAGE]: a list item repeats")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_empty_lambda_list_is_usage(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         args = ["sweep-lambda", "--config", config_path, "--out", str(out), "--lambdas", ""]
@@ -355,6 +377,16 @@ class TestFailureExits:
         code = main(["run", "--config", str(path)])
         assert code == EXIT_CONFIG_PARSE
         assert capsys.readouterr().err.startswith("error[CONFIG_PARSE]:")
+
+    def test_broken_yaml_report_is_one_line(self, tmp_path, capsys):
+        # PyYAML's report spans several lines; the stderr line joins them
+        path = tmp_path / "broken.yaml"
+        path.write_text("train: [unclosed\n")
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[CONFIG_PARSE]: config file {path} is not valid YAML: ")
+        assert "expected ',' or ']'" in err
+        assert len(err.splitlines()) == 1
 
     def test_unknown_key_is_invalid_config(self, config_path, tmp_path, capsys):
         code = main(
@@ -505,6 +537,31 @@ class TestConfigAndDataBoundaries:
         assert err.startswith("error[CONFIG_INVALID]: dataset: ")
         assert str(broken) in err
         assert not out.exists()
+
+    def test_fault_in_a_later_run_keeps_finished_runs(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def fault_on_second_call(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericalFault("non-finite parameters after the update")
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_second_call)
+        out = tmp_path / "o"
+        args = ["run", "--config", config_path, "--out", str(out), "--seeds", "1,2"]
+        assert main(args) == EXIT_NUMERICAL_FAULT
+        assert capsys.readouterr().err == (
+            "error[NUMERICAL_FAULT]: non-finite parameters after the update\n"
+        )
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["1", "1"]
+        summary = read_summary(out)
+        assert [r["seed"] for r in summary["runs"]] == [1]
+        assert [g["trials"] for g in summary["groups"]] == [1]
+        assert len((out / "run.log").read_text().splitlines()) == 1
 
     def test_program_error_is_not_reported_as_config_error(
         self, config_path, tmp_path, monkeypatch

@@ -157,6 +157,39 @@ class TestLoadIdx:
         with pytest.raises(IdxTruncatedError):
             load_idx(str(stub), lab)
 
+    def test_truncated_labels_header(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, [0, 0, 0, 0], [0])
+        stub = tmp_path / "stub.idx"
+        stub.write_bytes(struct.pack(">I", LABELS_MAGIC))
+        with pytest.raises(IdxTruncatedError, match="header cut short"):
+            load_idx(img, str(stub))
+
+    def test_truncated_labels_payload(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, [0] * 8, [0, 1])
+        short = tmp_path / "short.idx"
+        short.write_bytes(struct.pack(">II", LABELS_MAGIC, 2) + bytes([0]))
+        with pytest.raises(IdxTruncatedError, match="short.idx: payload cut short"):
+            load_idx(img, str(short))
+
+    def test_bad_labels_magic(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, [0, 0, 0, 0], [0])
+        broken = tmp_path / "broken.idx"
+        broken.write_bytes(struct.pack(">II", IMAGES_MAGIC, 1) + bytes(1))
+        with pytest.raises(IdxMagicError, match="bad magic 0x00000803"):
+            load_idx(img, str(broken))
+
+    def test_zero_images_is_an_empty_dataset_error(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, [], [])
+        with pytest.raises(ValueError, match="features must be a non-empty n x d matrix"):
+            load_idx(img, lab)
+
+    def test_pixels_and_labels_are_copied_out_of_the_file_bytes(self, tmp_path):
+        img, lab = write_idx_pair(tmp_path, [10, 20, 30, 40], [1])
+        ds = load_idx(img, lab, normalize=False)
+        assert ds.features.flags.writeable and ds.features.flags.owndata
+        assert ds.observed_labels is not ds.true_labels
+        assert ds.true_labels.dtype == np.int64
+
 
 class TestEpochBatches:
     @staticmethod

@@ -1,6 +1,7 @@
 """The training loop: selection mechanics, penalty refresh, reproducibility."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -395,6 +396,16 @@ class TestRunExperiment:
         baseline = [r.test_error for r in outputs[0].records]
         for result in outputs[1:]:
             assert [r.test_error for r in result.records] == baseline
+
+    @pytest.mark.parametrize("k, d", [(4, 2), (3, 3)])
+    def test_test_set_must_match_train_classes_and_width(self, tiny_blobs, k, d):
+        # the head is sized from the train set, so a test set with an extra
+        # class would score every sample of that class as wrong
+        train, _ = tiny_blobs
+        test = make_blobs(10, k, d, 0.55, 0.11, seed=(4, 1))
+        message = f"test set (k, d) = {(k, d)} must equal the train set's (3, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(small_config(), train, test, NoiseSpec("pair", 0.4))
 
     def test_ideal_symmetric_penalty_selects_like_ol(self, tiny_blobs):
         # with the uniform penalty fixed in place, combined-score selection

@@ -1,4 +1,5 @@
-"""Hash every output file of a fixed set of noisylab commands.
+"""Hash every output file of a fixed set of noisylab commands, then show how
+a fixed set of failing commands fails.
 
     python tools/output_digest.py OUT_DIR
 
@@ -8,6 +9,13 @@ BLAS thread, writing its outputs to ``OUT_DIR/<name>``, then prints
 ``run.log``, which holds wall-clock times. The set covers every command, the
 penalty-label dumps, unsorted seed lists and the three benchmark workloads
 (idx784 on the IDX quartet that ``perfbench/idxgen.py`` writes for seed 1).
+
+After the hashes it prints one line ``exit N  name  'stderr'`` per command of
+``failing_commands``, which covers exit codes 2 to 5: bad flag lists, a
+repeated list item, missing and malformed config files and overrides,
+invalid values, an impossible noise kind, a missing IDX file and a diverging
+run. Their outputs go to a temporary directory; in stderr that directory
+reads ``<tmp>`` and the checkout root ``<root>``, so two checkouts compare.
 
 To check that a change keeps the outputs byte-identical, run the script in a
 checkout of the change and in one of its parent (copy the script there if the
@@ -49,20 +57,60 @@ def commands(inputs: Path) -> dict[str, tuple[str, ...]]:
     }
 
 
+def failing_commands(tmp: Path) -> dict[str, tuple[str, ...]]:
+    """Name -> CLI arguments of a command that must fail; its files go under ``tmp``."""
+    broken = tmp / "broken.yaml"
+    broken.write_text("train: [unclosed\n", encoding="utf-8")
+    idx = tmp / "idx.yaml"
+    keys = ("images", "labels", "test_images", "test_labels")
+    idx.write_text("dataset:\n  kind: idx\n" + "".join(f"  {k}: {tmp / k}\n" for k in keys))
+    run = ("run", *QUICK)
+    return {
+        "bad-lambda-list": ("sweep-lambda", *QUICK, "--lambdas", "1,-2"),
+        "bad-variant-list": ("compare", *QUICK, "--variants", "bogus"),
+        "repeated-variant": ("compare", *QUICK, "--variants", "ol,ol"),
+        "missing-config-file": ("run", "--config", str(tmp / "absent.yaml")),
+        "malformed-config-file": ("run", "--config", str(broken)),
+        "malformed-override": (*run, "--set", "train.epochs"),
+        "unknown-key": (*run, "--set", "train.epoch=5"),
+        "out-of-range-value": (*run, "--set", "train.momentum=1.5"),
+        "non-finite-value": (*run, "--set", "dataset.separation=.nan"),
+        "mixed-noise-on-2-classes": (
+            *run,
+            *("--set", "dataset.classes=2", "--set", "noise.kind=mixed"),
+            *("--set", "noise.epsilon1=0.3", "--set", "noise.epsilon2=0.1"),
+        ),
+        "missing-idx-file": ("run", "--config", str(idx)),
+        "diverging-run": (*run, "--set", "train.learning_rate=1.0e+200"),
+    }
+
+
+def run_cli(args: tuple[str, ...], out: Path) -> subprocess.CompletedProcess:
+    argv = [sys.executable, "-m", "noisylab.cli", *args, "--out", str(out)]
+    return subprocess.run(argv, cwd=ROOT, env=child_env(), capture_output=True, text=True)
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
     out = Path(sys.argv[1]).resolve()
+    failures = []
     with tempfile.TemporaryDirectory() as inputs:
         for name, args in commands(Path(inputs)).items():
-            argv = [sys.executable, "-m", "noisylab.cli", *args, "--out", str(out / name)]
-            proc = subprocess.run(argv, cwd=ROOT, env=child_env(), capture_output=True, text=True)
+            proc = run_cli(args, out / name)
             if proc.returncode != 0:
                 print(f"{name}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
                 return 1
+        failing = Path(inputs) / "failing"
+        failing.mkdir()
+        for name, args in failing_commands(failing).items():
+            proc = run_cli(args, failing / name)
+            stderr = proc.stderr.replace(inputs, "<tmp>").replace(str(ROOT), "<root>")
+            failures.append(f"exit {proc.returncode}  {name}  {stderr!r}")
     for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "run.log"):
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
+    print("\n".join(failures))
     return 0
 
 
