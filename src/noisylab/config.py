@@ -34,6 +34,19 @@ class ConfigError(ValueError):
     """The config parsed but describes an invalid experiment."""
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key written twice in one mapping; a ``<<`` merge may be overridden."""
+
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
+        seen: list = []  # a list, so an unhashable key reaches SafeLoader's own error
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":
+                if (key := self.construct_object(key_node, deep)) in seen:
+                    raise yaml.MarkedYAMLError(None, None, f"key {key!r} repeats", key_node.start_mark)
+                seen.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_raw_config(path: str | Path) -> dict:
     """Read a YAML mapping; parse trouble raises ConfigParseError."""
     try:
@@ -41,7 +54,7 @@ def load_raw_config(path: str | Path) -> dict:
     except OSError as exc:
         raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"config file {path} is not valid YAML: {exc}") from exc
     if raw is None:
@@ -61,9 +74,9 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
         if not keys:
             raise ConfigParseError(f"override '{assignment}' has an empty key path")
         try:
-            value = yaml.safe_load(value_text)
+            value = yaml.load(value_text, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
-            raise ConfigParseError(f"override value '{value_text}' is not valid YAML") from exc
+            raise ConfigParseError(f"override value '{value_text}' is not valid YAML: {exc}") from exc
         node = raw
         for key in keys[:-1]:
             child = node.get(key)

@@ -71,10 +71,6 @@ class ConfidenceAccumulator:
         np.add.at(self.sums, observed_labels, confidences)
         self.counts += np.bincount(observed_labels, minlength=self.k)
 
-    def reset(self) -> None:
-        self.sums[:] = 0.0
-        self.counts[:] = 0
-
     def class_means(self) -> np.ndarray:
         """Mean confidence per observed class; zero rows where unseen."""
         means = np.zeros_like(self.sums)
@@ -95,13 +91,9 @@ class PenaltyLabelSet:
     epoch_of_estimate: int
     fallback_mask: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.labels.shape[0]
-
     def validate(self) -> None:
         labels = self.labels
-        k = self.k
+        k = labels.shape[0]
         if labels.shape != (k, k):
             raise ValueError("penalty labels must be square")
         if np.any(np.abs(np.diagonal(labels)) > 0.0):

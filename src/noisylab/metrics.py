@@ -19,14 +19,20 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class RunRecord:
+class EpochStats:
+    """The selection tallies of one training epoch."""
+
+    train_selected: int
+    precision: float | None
+    selected_per_class: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class RunRecord(EpochStats):
     """Everything recorded about one epoch of one run."""
 
     epoch: int
     test_error: float
-    precision: float | None
-    train_selected: int
-    selected_per_class: tuple[int, ...]
     lam: float
     seed: int
     variant: str

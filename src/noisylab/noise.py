@@ -19,8 +19,8 @@ import numpy as np
 from .data import LabeledDataset
 from .seeding import SeedLike, rng_from
 
-# Largest symmetric rate with a usable majority signal; higher rates are
-# allowed but flagged.
+# Largest tested symmetric rate; higher rates are allowed but flagged. The true
+# class keeps the majority while epsilon < (k - 1) / k, which is 0.9 at k = 10.
 SYMMETRY_WARN_ABOVE = 0.6
 
 # The one tolerance on row sums of stochastic matrices: transition and penalty labels.
@@ -86,8 +86,8 @@ def build_transition(spec: NoiseSpec, k: int) -> np.ndarray:
     check_class_count(spec, k)
     if spec.exceeds_tested_range:
         warnings.warn(
-            f"symmetric noise rate {spec.epsilon} is above {SYMMETRY_WARN_ABOVE}; "
-            "the observed-label majority signal is gone",
+            f"symmetric noise rate {spec.epsilon} is above {SYMMETRY_WARN_ABOVE}, "
+            "outside the tested range",
             UserWarning,
             stacklevel=2,
         )

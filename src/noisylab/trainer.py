@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -33,8 +34,8 @@ from .criteria import (
 )
 from .data import LabeledDataset, epoch_batches
 from .losses import SlConfig, ce_grad_logits, sl_grad_logits
-from .metrics import RunRecord, selection_precision, test_error
-from .network import GradFn, LrSchedule, MomentumSgd, Mlp, check_momentum
+from .metrics import EpochStats, RunRecord, selection_precision, test_error
+from .network import LrSchedule, MomentumSgd, Mlp, check_momentum
 from .noise import NoiseSpec, build_transition, corrupt_labels
 from .seeding import INIT_STREAM, NOISE_STREAM, SHUFFLE_STREAM
 
@@ -168,15 +169,7 @@ class TrainState:
 
     net: Mlp
     opt: MomentumSgd
-    acc: ConfidenceAccumulator
     penalty: PenaltyLabelSet
-
-
-@dataclass(frozen=True)
-class EpochStats:
-    train_selected: int
-    precision: float | None
-    selected_per_class: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -198,15 +191,8 @@ def init_state(config: TrainConfig, d: int, k: int) -> TrainState:
     opt = MomentumSgd(
         net, config.momentum, LrSchedule(config.learning_rate, config.lr_milestones)
     )
-    acc = ConfidenceAccumulator(k)
     # Nothing accumulated yet: every row is the uniform fallback, stamped -1.
-    return TrainState(net, opt, acc, estimate_penalty_labels(acc, -1))
-
-
-def _grad_fn(config: TrainConfig) -> GradFn:
-    if config.loss is LossKind.CE:
-        return ce_grad_logits
-    return lambda probs, onehot: sl_grad_logits(probs, onehot, config.sl)
+    return TrainState(net, opt, estimate_penalty_labels(ConfidenceAccumulator(k), -1))
 
 
 def predict_in_chunks(net: Mlp, features: np.ndarray) -> np.ndarray:
@@ -238,7 +224,8 @@ def train_epoch(
             )
 
     onehot = np.eye(k)[dataset.observed_labels]
-    grad_fn = _grad_fn(config)
+    grad_fn = ce_grad_logits if config.loss is LossKind.CE else partial(sl_grad_logits, config=config.sl)
+    acc = ConfidenceAccumulator(k)  # this epoch's confidences only
     trained: list[np.ndarray] = []  # the rows each step trains on
 
     for batch in epoch_batches(dataset, config.batch_size, (config.seed, SHUFFLE_STREAM), epoch):
@@ -248,7 +235,7 @@ def train_epoch(
         observed = dataset.observed_labels[batch]
         targets = onehot[batch]
         if config.penalty_update is PenaltyUpdate.STACKED:
-            state.acc.stack_confidences(fwd.probs, observed)
+            acc.stack_confidences(fwd.probs, observed)
         if selecting:
             scores = batch_scores(
                 variant, fwd.probs, targets, state.penalty.labels[observed], config.criteria.lam
@@ -262,11 +249,10 @@ def train_epoch(
         state.opt.step(state.net, grads, epoch)
 
     if config.penalty_update is PenaltyUpdate.REPREDICT:
-        state.acc.stack_confidences(
+        acc.stack_confidences(
             predict_in_chunks(state.net, dataset.features), dataset.observed_labels
         )
-    state.penalty = estimate_penalty_labels(state.acc, epoch)
-    state.acc.reset()
+    state.penalty = estimate_penalty_labels(acc, epoch)
 
     rows = np.concatenate(trained)
     return EpochStats(
@@ -283,6 +269,7 @@ def resolve_select_fraction(config: TrainConfig, noise_spec: NoiseSpec) -> float
     return 100.0 * (1.0 - noise_spec.epsilon)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises NumericalFault instead
 def run_experiment(
     config: TrainConfig,
     train_clean: LabeledDataset,
@@ -310,11 +297,9 @@ def run_experiment(
         predictions = np.argmax(predict_in_chunks(state.net, test.features), axis=1)
         records.append(
             RunRecord(
+                **vars(stats),
                 epoch=epoch,
                 test_error=test_error(predictions, test.true_labels),
-                precision=stats.precision,
-                train_selected=stats.train_selected,
-                selected_per_class=stats.selected_per_class,
                 lam=resolved.criteria.lam,
                 seed=resolved.seed,
                 variant=resolved.criteria.variant.value,

@@ -1,7 +1,11 @@
 """Command-line behavior: outputs, overrides, exit codes, determinism."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -433,6 +437,53 @@ class TestFailureExits:
         )
         assert code == EXIT_NUMERICAL_FAULT
         assert capsys.readouterr().err.startswith("error[NUMERICAL_FAULT]:")
+
+    def test_diverging_run_prints_one_stderr_line(self, config_path, tmp_path):
+        # a subprocess, because pytest would capture numpy's warnings in-process
+        src = Path(__file__).resolve().parents[1] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-m", "noisylab.cli", "run", "--config", config_path]
+            + ["--out", str(tmp_path / "o"), "--set", "train.learning_rate=1.0e+200"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == EXIT_NUMERICAL_FAULT
+        assert completed.stderr.splitlines() == [
+            "error[NUMERICAL_FAULT]: non-finite logits in forward pass"
+        ]
+
+    def test_repeated_key_in_config_file_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "twice.yaml"
+        path.write_text(
+            "train: {epochs: 50}\nseeds: [1]\ntrain: {epochs: 2, warmup_epochs: 1}\n"
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG_PARSE]:")
+        assert "key 'train' repeats" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_repeated_key_in_override_is_parse_error(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["run", "--config", config_path, "--out", str(out)]
+        assert main(args + ["--set", "train={epochs: 3, epochs: 4}"]) == EXIT_CONFIG_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error[CONFIG_PARSE]:")
+        assert "key 'epochs' repeats" in err
+        assert not out.exists()
+
+    def test_merged_key_may_be_overridden(self, tmp_path):
+        path = tmp_path / "merge.yaml"
+        path.write_text(
+            SMALL_CONFIG.replace("train:\n", "train:\n  <<: {epochs: 3, hidden: [4]}\n", 1)
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert "epochs=2" in (out / "run.log").read_text()
 
 
 class TestConfigAndDataBoundaries:

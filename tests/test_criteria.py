@@ -76,13 +76,6 @@ class TestConfidenceAccumulator:
         assert np.allclose(acc.sums[0], [1.6, 0.4])
         assert acc.counts.tolist() == [2, 1]
 
-    def test_reset_clears_everything(self):
-        acc = ConfidenceAccumulator(2)
-        acc.stack_confidences(np.array([[0.5, 0.5]]), np.array([1]))
-        acc.reset()
-        assert np.all(acc.sums == 0.0)
-        assert np.all(acc.counts == 0)
-
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             ConfidenceAccumulator(1)

@@ -297,6 +297,26 @@ class TestTrainEpoch:
         train_epoch(state, train, cfg, epoch=0)
         assert np.array_equal(state.penalty.labels, expected.labels)
 
+    def test_stacked_estimate_uses_only_its_own_epoch(self, tiny_blobs):
+        # each epoch's estimate comes from that epoch's confidences alone
+        train, _ = tiny_blobs
+        cfg = small_config(criteria=CriteriaConfig(variant=Variant.NONE))
+        state = init_state(cfg, train.d, train.k)
+        shadow = init_state(cfg, train.d, train.k)
+        onehot = np.eye(train.k)[train.observed_labels]
+        for epoch in range(3):
+            acc = ConfidenceAccumulator(train.k)
+            for batch in epoch_batches(train, cfg.batch_size, (cfg.seed, SHUFFLE_STREAM), epoch):
+                acc.stack_confidences(
+                    shadow.net.confidences(train.features[batch]), train.observed_labels[batch]
+                )
+                grads = shadow.net.backward(train.features[batch], onehot[batch], ce_grad_logits)
+                shadow.opt.step(shadow.net, grads, epoch)
+            train_epoch(state, train, cfg, epoch)
+            if epoch > 0:
+                expected = estimate_penalty_labels(acc, epoch)
+                assert np.array_equal(state.penalty.labels, expected.labels)
+
     def test_repredict_estimate_uses_postupdate_model(self, tiny_blobs):
         train, _ = tiny_blobs
         cfg = small_config(

@@ -12,9 +12,9 @@ penalty-label dumps, unsorted seed lists and the three benchmark workloads
 
 After the hashes it prints one line ``exit N  name  'stderr'`` per command of
 ``failing_commands``, which covers exit codes 2 to 5: bad flag lists, a
-repeated list item, missing and malformed config files and overrides,
-invalid values, an impossible noise kind, a missing IDX file and a diverging
-run. Their outputs go to a temporary directory; in stderr that directory
+repeated list item, missing and malformed config files and overrides, a
+config file that repeats a key, invalid values, an impossible noise kind, a
+missing IDX file and a diverging run. Their outputs go to a temporary directory; in stderr that directory
 reads ``<tmp>`` and the checkout root ``<root>``, so two checkouts compare.
 
 To check that a change keeps the outputs byte-identical, run the script in a
@@ -61,6 +61,8 @@ def failing_commands(tmp: Path) -> dict[str, tuple[str, ...]]:
     """Name -> CLI arguments of a command that must fail; its files go under ``tmp``."""
     broken = tmp / "broken.yaml"
     broken.write_text("train: [unclosed\n", encoding="utf-8")
+    twice = tmp / "twice.yaml"
+    twice.write_text("train: {epochs: 50}\nseeds: [1]\ntrain: {epochs: 2, warmup_epochs: 1}\n")
     idx = tmp / "idx.yaml"
     keys = ("images", "labels", "test_images", "test_labels")
     idx.write_text("dataset:\n  kind: idx\n" + "".join(f"  {k}: {tmp / k}\n" for k in keys))
@@ -71,6 +73,7 @@ def failing_commands(tmp: Path) -> dict[str, tuple[str, ...]]:
         "repeated-variant": ("compare", *QUICK, "--variants", "ol,ol"),
         "missing-config-file": ("run", "--config", str(tmp / "absent.yaml")),
         "malformed-config-file": ("run", "--config", str(broken)),
+        "repeated-key": ("run", "--config", str(twice)),
         "malformed-override": (*run, "--set", "train.epochs"),
         "unknown-key": (*run, "--set", "train.epoch=5"),
         "out-of-range-value": (*run, "--set", "train.momentum=1.5"),
