@@ -9,6 +9,7 @@ dataclasses check their own ranges.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
@@ -45,6 +46,14 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                     raise yaml.MarkedYAMLError(None, None, f"key {key!r} repeats", key_node.start_mark)
                 seen.append(key)
         return super().construct_mapping(node, deep)
+
+
+# YAML 1.2 reads an exponent without a dot, such as 1e-3, as a float; YAML 1.1 reads a string.
+_UniqueKeyLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
 
 
 def load_raw_config(path: str | Path) -> dict:
@@ -111,7 +120,6 @@ class DatasetConfig:
     labels: str | None = None
     test_images: str | None = None
     test_labels: str | None = None
-    normalize: bool = True
 
     def __post_init__(self) -> None:
         if self.kind == "idx":
@@ -159,10 +167,6 @@ class ExperimentConfig:
             raise ValueError("seeds must be a non-empty list of non-negative integers")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must not repeat: a repeated seed reruns the same trial")
-
-    @property
-    def trials(self) -> int:
-        return len(self.seeds)
 
 
 # YAML keys that differ from their field names.
@@ -231,12 +235,7 @@ def _build(cls: type, section: Any, where: str) -> Any:
 
 def build_config(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping into a typed experiment config."""
-    raw = dict(raw)
-    trials = _convert(raw.pop("trials"), int, "trials") if "trials" in raw else None
-    config = _build(ExperimentConfig, raw, "")
-    if trials is not None and trials != config.trials:
-        raise ConfigError(f"trials ({trials}) must equal the number of seeds ({config.trials})")
-    return config
+    return _build(ExperimentConfig, raw, "")
 
 
 def make_datasets(cfg: DatasetConfig) -> tuple[LabeledDataset, LabeledDataset]:
@@ -247,17 +246,13 @@ def make_datasets(cfg: DatasetConfig) -> tuple[LabeledDataset, LabeledDataset]:
     and test sets share one class count, 1 + the largest label in either
     file, so a class missing from one file still gets its head column.
     """
-    if cfg.kind == "blobs":
-        train = make_blobs(
-            cfg.n_per_class, cfg.classes, cfg.dim, cfg.separation, cfg.spread, (cfg.seed, 0)
-        )
-        test = make_blobs(
-            cfg.test_per_class, cfg.classes, cfg.dim, cfg.separation, cfg.spread, (cfg.seed, 1)
-        )
-        return train, test
     try:
-        train = load_idx(cfg.images, cfg.labels, cfg.normalize)
-        test = load_idx(cfg.test_images, cfg.test_labels, cfg.normalize)
+        if cfg.kind == "blobs":
+            blob = (cfg.classes, cfg.dim, cfg.separation, cfg.spread)
+            train = make_blobs(cfg.n_per_class, *blob, (cfg.seed, 0))
+            return train, make_blobs(cfg.test_per_class, *blob, (cfg.seed, 1))
+        train = load_idx(cfg.images, cfg.labels)
+        test = load_idx(cfg.test_images, cfg.test_labels)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"dataset: {exc}") from exc
     if train.d != test.d:

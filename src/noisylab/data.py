@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,18 +17,6 @@ from .seeding import SeedLike, rng_from
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
-
-
-class IdxMagicError(ValueError):
-    """Magic number does not identify an images or labels file."""
-
-
-class IdxCountMismatchError(ValueError):
-    """Images and labels files disagree on the sample count."""
-
-
-class IdxTruncatedError(ValueError):
-    """File ends before the declared payload."""
 
 
 @dataclass(frozen=True)
@@ -75,10 +63,6 @@ class LabeledDataset:
         """True where the observed label still equals the true label."""
         return self.observed_labels == self.true_labels
 
-    def with_observed(self, observed: np.ndarray) -> "LabeledDataset":
-        """Copy of this dataset with a replacement observed-label array."""
-        return LabeledDataset(self.features, self.true_labels, observed, self.k)
-
 
 def class_centers(k: int, d: int, separation: float) -> np.ndarray:
     """Deterministic cluster centers: a circle in the first two coordinates.
@@ -97,6 +81,7 @@ def class_centers(k: int, d: int, separation: float) -> np.ndarray:
     return centers
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def make_blobs(
     n_per_class: int,
     k: int,
@@ -124,6 +109,8 @@ def make_blobs(
     rng = rng_from(seed)
     offsets = rng.standard_normal((k, n_per_class, d)) * spread
     features = (centers[:, None, :] + offsets).reshape(k * n_per_class, d)
+    if not np.isfinite(features).all():
+        raise ValueError("separation or spread is too large: the blob features overflow")
     labels = np.repeat(np.arange(k, dtype=np.int64), n_per_class)
     return LabeledDataset(features, labels, labels.copy(), k)
 
@@ -135,33 +122,31 @@ def _read_idx(path: str, magic: int, ndim: int) -> np.ndarray:
     # IDX headers are big-endian 32-bit words: magic, then one size per dim.
     header_len = 4 * (1 + ndim)
     if len(raw) < header_len:
-        raise IdxTruncatedError(f"{path}: header cut short ({len(raw)} bytes)")
+        raise ValueError(f"{path}: header cut short ({len(raw)} bytes)")
     found, *dims = struct.unpack_from(f">{1 + ndim}I", raw)
     if found != magic:
-        raise IdxMagicError(f"{path}: bad magic 0x{found:08x}")
+        raise ValueError(f"{path}: bad magic 0x{found:08x}")
     count = math.prod(dims)
     if len(raw) - header_len < count:
-        raise IdxTruncatedError(f"{path}: payload cut short")
+        raise ValueError(f"{path}: payload cut short")
     return np.frombuffer(raw, np.uint8, count, header_len).reshape(dims)
 
 
-def load_idx(images_path: str, labels_path: str, normalize: bool = True) -> LabeledDataset:
+def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
     """Load an images/labels IDX pair into a dataset.
 
-    Pixel features are flattened row-major and, when ``normalize`` is set,
-    scaled from [0, 255] to [0, 1]. The observed labels start out equal to
-    the file labels; corruption is a separate step.
+    Pixel features are flattened row-major and scaled from [0, 255] to
+    [0, 1]. The observed labels start out equal to the file labels;
+    corruption is a separate step.
     """
     images = _read_idx(images_path, IMAGES_MAGIC, 3)
     labels = _read_idx(labels_path, LABELS_MAGIC, 1)
     n_img, rows, cols = images.shape
     if n_img != labels.size:
-        raise IdxCountMismatchError(
+        raise ValueError(
             f"{images_path} holds {n_img} images but {labels_path} holds {labels.size} labels"
         )
-    features = images.reshape(n_img, rows * cols).astype(np.float64)
-    if normalize:
-        features /= 255.0
+    features = images.reshape(n_img, rows * cols) / 255.0
     k = int(labels.max()) + 1 if labels.size else 1
     return LabeledDataset(features, labels, labels, k)
 

@@ -11,7 +11,7 @@ Three noise families, all with diagonal 1 - epsilon:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -130,4 +130,4 @@ def corrupt_labels(dataset: LabeledDataset, matrix: np.ndarray, seed: SeedLike) 
     draws = rng_from(seed).random(dataset.n)
     per_sample = cumulative[dataset.true_labels]
     observed = (per_sample <= draws[:, None]).sum(axis=1).astype(np.int64)
-    return dataset.with_observed(observed)
+    return replace(dataset, observed_labels=observed)

@@ -97,10 +97,6 @@ class TrainConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "penalty_update", PenaltyUpdate(self.penalty_update))
         object.__setattr__(self, "loss", LossKind(self.loss))
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        object.__setattr__(
-            self, "lr_milestones", tuple((int(e), float(m)) for e, m in self.lr_milestones)
-        )
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
         # warmup may equal epochs: that run never selects and must match a

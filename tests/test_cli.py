@@ -510,6 +510,18 @@ class TestConfigAndDataBoundaries:
         assert "must be a finite number" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_blob_draw_fails_before_any_output(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["run", "--config", config_path, "--out", str(out), "--set", "dataset.spread=1e308"]
+        assert main(args) == EXIT_CONFIG_INVALID
+        err = capsys.readouterr().err
+        assert err == (
+            "error[CONFIG_INVALID]: dataset: separation or spread is too large: "
+            "the blob features overflow\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["dataset.separation", "train.criteria.lambda"])
     def test_integer_beyond_float_range_fails_before_any_output(
         self, config_path, tmp_path, capsys, key

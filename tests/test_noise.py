@@ -134,6 +134,13 @@ class TestCorruptLabels:
         assert np.array_equal(out.true_labels, dataset.true_labels)
         assert out.features is dataset.features
 
+    def test_input_dataset_unchanged(self):
+        dataset = block_dataset(200, 5)
+        matrix = build_transition(NoiseSpec("pair", 0.4), 5)
+        out = corrupt_labels(dataset, matrix, seed=3)
+        assert not np.array_equal(out.observed_labels, dataset.observed_labels)
+        assert np.array_equal(dataset.observed_labels, dataset.true_labels)
+
     def test_deterministic_and_seed_sensitive(self):
         dataset = block_dataset(300, 4)
         matrix = build_transition(NoiseSpec("symmetry", 0.4), 4)

@@ -14,8 +14,9 @@ After the hashes it prints one line ``exit N  name  'stderr'`` per command of
 ``failing_commands``, which covers exit codes 2 to 5: bad flag lists, a
 repeated list item, missing and malformed config files and overrides, a
 config file that repeats a key, invalid values, an impossible noise kind, a
-missing IDX file and a diverging run. Their outputs go to a temporary directory; in stderr that directory
-reads ``<tmp>`` and the checkout root ``<root>``, so two checkouts compare.
+missing IDX file, a blob draw that overflows and a diverging run. Their
+outputs go to a temporary directory; in stderr that directory reads ``<tmp>``
+and the checkout root ``<root>``, so two checkouts compare.
 
 To check that a change keeps the outputs byte-identical, run the script in a
 checkout of the change and in one of its parent (copy the script there if the
@@ -84,6 +85,7 @@ def failing_commands(tmp: Path) -> dict[str, tuple[str, ...]]:
             *("--set", "noise.epsilon1=0.3", "--set", "noise.epsilon2=0.1"),
         ),
         "missing-idx-file": ("run", "--config", str(idx)),
+        "blob-overflow": (*run, "--set", "dataset.spread=1.0e+308"),
         "diverging-run": (*run, "--set", "train.learning_rate=1.0e+200"),
     }
 
