@@ -19,6 +19,7 @@ fault. Anything else is a program error and surfaces as a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -176,6 +177,7 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
     out_dir = _output_dir(args, config)
+    created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = []
@@ -200,6 +202,10 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
             if "json" in config.output.formats:
                 write_summary_json(out_dir / "summary.json", summarize_runs(runs))
             (out_dir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8", newline="\n")
+        else:  # no run finished, so no file was written: remove the directories made above
+            with contextlib.suppress(OSError):  # stop at one another command has written to
+                for path in created:
+                    path.rmdir()
     return out_dir
 
 

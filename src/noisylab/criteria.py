@@ -51,25 +51,58 @@ def criteria_all(
 
 
 class ConfidenceAccumulator:
-    """Running per-class sums of prediction confidences.
+    """Per-class sums of prediction confidences over every stacked batch.
 
-    Row j holds the sum of confidence vectors over samples whose observed
-    label is j, plus a count, so class means survive across mini-batches.
+    Row j of ``sums`` holds the sum of confidence vectors over samples whose
+    observed label is j, and ``counts[j]`` their number, so class means
+    survive across mini-batches. Stacking only keeps a batch; the first read
+    after it folds every stacked row at once, in stacking order.
     """
 
     def __init__(self, k: int):
         if k < 2:
             raise ValueError("k must be at least 2")
         self.k = k
-        self.sums = np.zeros((k, k), dtype=np.float64)
-        self.counts = np.zeros(k, dtype=np.int64)
+        self._batches: list[tuple[np.ndarray, np.ndarray]] = []
+        self._folded: tuple[np.ndarray, np.ndarray] | None = None
 
     def stack_confidences(self, confidences: np.ndarray, observed_labels: np.ndarray) -> None:
-        """Fold one batch of confidences into the per-class sums."""
-        confidences = np.asarray(confidences, dtype=np.float64)
-        observed_labels = np.asarray(observed_labels, dtype=np.int64)
-        np.add.at(self.sums, observed_labels, confidences)
-        self.counts += np.bincount(observed_labels, minlength=self.k)
+        """Keep a copy of an (n, k) batch of confidences and its n observed labels for the fold."""
+        confidences = np.array(confidences, dtype=np.float64)
+        observed_labels = np.array(observed_labels, dtype=np.int64)
+        if confidences.shape != (observed_labels.size, self.k) or observed_labels.ndim != 1:
+            shapes = f"{confidences.shape} and {observed_labels.shape}"
+            raise ValueError(f"need (n, {self.k}) confidences and n labels, got {shapes}")
+        if observed_labels.size and not 0 <= observed_labels.min() <= observed_labels.max() < self.k:
+            raise ValueError(f"observed labels must lie in [0, {self.k})")
+        self._batches.append((confidences, observed_labels))
+        self._folded = None
+
+    def _fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sums and counts of every stacked row, from one bincount per confidence column.
+
+        bincount adds each label's weights in input order, starting from zero,
+        so the sums equal sequential ``np.add.at`` into zeros bit for bit.
+        One bincount per batch, added up afterwards, would not.
+        """
+        k = self.k
+        labels = np.concatenate([np.empty(0, np.int64)] + [lab for _, lab in self._batches])
+        columns = np.concatenate([np.empty((k, 0))] + [c.T for c, _ in self._batches], axis=1)
+        sums = np.stack([np.bincount(labels, column, k) for column in columns], axis=1)
+        return sums, np.bincount(labels, minlength=k)
+
+    def _totals(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._folded is None:
+            self._folded = self._fold()
+        return self._folded
+
+    @property
+    def sums(self) -> np.ndarray:
+        return self._totals()[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._totals()[1]
 
     def class_means(self) -> np.ndarray:
         """Mean confidence per observed class; zero rows where unseen."""

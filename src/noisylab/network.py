@@ -25,10 +25,11 @@ class NumericalFault(RuntimeError):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    """Row-wise softmax with max subtraction for overflow safety; ``logits`` is left unchanged."""
+    probs = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 @dataclass(frozen=True)
@@ -111,11 +112,12 @@ class Mlp:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i < last:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
                 inputs.append(h)
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise NumericalFault("non-finite logits in forward pass")
         return h, inputs
 
@@ -173,5 +175,5 @@ class MomentumSgd:
             vw += gw
             vb += gb
         net.params -= self.schedule.rate(epoch) * self.velocity
-        if not np.all(np.isfinite(net.params)):
+        if not np.isfinite(net.params).all():
             raise NumericalFault("non-finite parameter after update")

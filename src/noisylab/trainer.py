@@ -219,7 +219,7 @@ def train_epoch(
                 f"consumed in epoch {epoch}"
             )
 
-    onehot = np.eye(k)[dataset.observed_labels]
+    eye = np.eye(k)
     grad_fn = ce_grad_logits if config.loss is LossKind.CE else partial(sl_grad_logits, config=config.sl)
     acc = ConfidenceAccumulator(k)  # this epoch's confidences only
     trained: list[np.ndarray] = []  # the rows each step trains on
@@ -229,7 +229,7 @@ def train_epoch(
         # are kept backpropagate from it.
         fwd = state.net.forward(dataset.features[batch])
         observed = dataset.observed_labels[batch]
-        targets = onehot[batch]
+        targets = eye[observed]
         if config.penalty_update is PenaltyUpdate.STACKED:
             acc.stack_confidences(fwd.probs, observed)
         if selecting:

@@ -601,6 +601,45 @@ class TestConfigAndDataBoundaries:
         assert str(broken) in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "override", ["train.learning_rate=1.0e+200", "dataset.separation=1.0e+300"]
+    )
+    def test_fault_before_any_finished_run_leaves_no_directory(
+        self, config_path, tmp_path, capsys, override
+    ):
+        out = tmp_path / "new" / "o"
+        args = ["run", "--config", config_path, "--out", str(out), "--set", override]
+        assert main(args) == EXIT_NUMERICAL_FAULT
+        assert capsys.readouterr().err == "error[NUMERICAL_FAULT]: non-finite logits in forward pass\n"
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fault_before_any_finished_run_keeps_an_existing_directory(
+        self, config_path, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        out.mkdir()
+        args = ["run", "--config", config_path, "--out", str(out)]
+        assert main([*args, "--set", "train.learning_rate=1.0e+200"]) == EXIT_NUMERICAL_FAULT
+        capsys.readouterr()
+        assert out.is_dir()
+        assert list(out.iterdir()) == []
+
+    def test_fault_keeps_a_new_parent_another_command_wrote_to(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        def other_command_writes_then_fault(*args, **kwargs):
+            (tmp_path / "new" / "other").mkdir()
+            raise NumericalFault("non-finite logits in forward pass")
+
+        monkeypatch.setattr("noisylab.cli.run_experiment", other_command_writes_then_fault)
+        out = tmp_path / "new" / "o"
+        assert main(["run", "--config", config_path, "--out", str(out)]) == EXIT_NUMERICAL_FAULT
+        assert capsys.readouterr().err == "error[NUMERICAL_FAULT]: non-finite logits in forward pass\n"
+        assert not out.exists()
+        assert [p.name for p in (tmp_path / "new").iterdir()] == ["other"]
+
     def test_fault_in_a_later_run_keeps_finished_runs(
         self, config_path, tmp_path, capsys, monkeypatch
     ):

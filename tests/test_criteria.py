@@ -69,7 +69,7 @@ class TestConfidenceAccumulator:
         assert acc.counts.tolist() == [2, 0, 0]
 
     def test_repeated_label_in_one_batch(self):
-        # np.add.at must accumulate duplicates rather than overwrite
+        # the fold must accumulate duplicates rather than overwrite
         acc = ConfidenceAccumulator(2)
         probs = np.array([[0.9, 0.1], [0.7, 0.3], [0.2, 0.8]])
         acc.stack_confidences(probs, np.array([0, 0, 1]))
@@ -79,6 +79,54 @@ class TestConfidenceAccumulator:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             ConfidenceAccumulator(1)
+
+    @pytest.mark.parametrize(
+        "confidences, labels",
+        [
+            (np.full((2, 1), 0.5), [0, 1]),  # one column, broadcast over k
+            (np.full(3, 0.5), [0]),  # one (k,) vector, no batch axis
+            (np.full((2, 4), 0.25), [0, 1]),  # k + 1 columns
+            (np.full((2, 3), 0.5), [[0, 1]]),  # labels not 1-d
+            (np.full((2, 3), 0.5), [0, 1, 2]),  # more labels than rows
+            (np.full((2, 3), 0.5), [0, 3]),  # label k
+            (np.full((2, 3), 0.5), [-1, 0]),  # negative label
+        ],
+    )
+    def test_rejects_misshaped_batch(self, confidences, labels):
+        acc = ConfidenceAccumulator(3)
+        with pytest.raises(ValueError):
+            acc.stack_confidences(confidences, np.array(labels))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_later_changes_to_a_stacked_batch_are_not_seen(self, dtype):
+        acc = ConfidenceAccumulator(2)
+        probs = np.array([[0.75, 0.25], [0.5, 0.5]], dtype=dtype)
+        labels = np.array([0, 1])
+        acc.stack_confidences(probs, labels)
+        probs[:] = 9.0
+        labels[:] = 0
+        assert acc.sums.tolist() == [[0.75, 0.25], [0.5, 0.5]]
+        assert acc.counts.tolist() == [1, 1]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_fold_equals_sequential_add_at(self, data):
+        # however the rows are split into stacks, the sums keep np.add.at's bits
+        k = data.draw(st.integers(2, 120))
+        seen = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+        n = data.draw(st.integers(0, 300))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        labels = rng.choice(seen, size=n)
+        # magnitudes over many decades, so a different summation order shows in the bits
+        confidences = rng.random((n, k)) * 10.0 ** rng.integers(-8, 9, size=(n, k))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+        acc = ConfidenceAccumulator(k)
+        expected = np.zeros((k, k))
+        for rows in np.split(np.arange(n), cuts):
+            acc.stack_confidences(confidences[rows], labels[rows])
+            np.add.at(expected, labels[rows], confidences[rows])
+        assert np.array_equal(acc.sums, expected)
+        assert np.array_equal(acc.counts, np.bincount(labels, minlength=k))
 
 
 class TestEstimatePenaltyLabels:

@@ -100,6 +100,17 @@ class TestForward:
         assert probs.shape == (10, 4)
         assert np.allclose(probs.sum(axis=1), 1.0)
 
+    def test_passes_leave_their_input_unchanged(self):
+        net = Mlp((3, 16, 4), seed=0)
+        x = np.random.default_rng(0).standard_normal((10, 3))
+        logits = x @ net.weights[0][:, :3]
+        kept_x, kept_logits = x.copy(), logits.copy()
+        softmax(logits)
+        net.forward(x)
+        net.confidences(x)
+        assert np.array_equal(logits, kept_logits)
+        assert np.array_equal(x, kept_x)
+
     def test_nonfinite_input_raises_fault(self):
         net = Mlp((2, 4, 2), seed=0)
         with pytest.raises(NumericalFault):

@@ -249,6 +249,37 @@ class TestTrainEpoch:
         assert calls == [b.size for b in batches]
         assert stats.train_selected < train.n
 
+    @pytest.mark.parametrize("update", list(PenaltyUpdate))
+    def test_epoch_folds_its_confidences_once(self, tiny_blobs, monkeypatch, update):
+        train, _ = tiny_blobs
+        cfg = small_config(
+            criteria=CriteriaConfig(variant=Variant.ALL),
+            penalty_update=update,
+            select_fraction=60.0,
+            warmup_epochs=0,
+        )
+        state = init_state(cfg, train.d, train.k)
+        stacks, folds = [], []
+        real_stack, real_fold = ConfidenceAccumulator.stack_confidences, ConfidenceAccumulator._fold
+
+        def counting_stack(acc, confidences, observed_labels):
+            stacks.append(len(observed_labels))
+            return real_stack(acc, confidences, observed_labels)
+
+        def counting_fold(acc):
+            folds.append(1)
+            return real_fold(acc)
+
+        monkeypatch.setattr(ConfidenceAccumulator, "stack_confidences", counting_stack)
+        monkeypatch.setattr(ConfidenceAccumulator, "_fold", counting_fold)
+        train_epoch(state, train, cfg, epoch=0)
+        if update is PenaltyUpdate.STACKED:
+            batches = epoch_batches(train, cfg.batch_size, (cfg.seed, SHUFFLE_STREAM), 0)
+            assert stacks == [b.size for b in batches]
+        else:
+            assert stacks == [train.n]
+        assert folds == [1]
+
     def test_stale_penalty_refused(self, tiny_blobs):
         train, _ = tiny_blobs
         cfg = small_config(
