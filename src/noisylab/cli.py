@@ -43,7 +43,9 @@ from .config import (
 from .metrics import summarize_runs, write_metrics_csv, write_summary_json
 from .network import NumericalFault
 from .noise import check_class_count
-from .trainer import CriteriaConfig, PenaltyUpdate, RunResult, TrainConfig, Variant, run_experiment
+from .trainer import (
+    CriteriaConfig, EpochCache, PenaltyUpdate, RunResult, TrainConfig, Variant, run_experiment
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -170,12 +172,13 @@ def _dump_penalty_labels(out_dir: Path, run_id: str, seed: int, result: RunResul
 
 
 def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
-    plan = _plan(args, config)
+    plan = [(run_id, replace(cfg, seed=seed)) for run_id, cfg in _plan(args, config) for seed in config.seeds]
     train_clean, test = make_datasets(config.dataset)
     try:
         check_class_count(config.noise, train_clean.k)
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
+    cache = EpochCache([cfg for _, cfg in plan], train_clean, test, config.noise)
     out_dir = _output_dir(args, config)
     created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -183,17 +186,16 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
     runs = []
     log_lines = []
     try:
-        for run_id, train_cfg in plan:
-            for seed in config.seeds:
-                cfg = replace(train_cfg, seed=seed)
-                started = time.perf_counter()
-                result = run_experiment(cfg, train_clean, test, config.noise)
-                elapsed = time.perf_counter() - started
-                stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-                log_lines.append(f"{stamp} {run_id} seed={seed} epochs={cfg.epochs} {elapsed:.2f}s")
-                runs.append((run_id, list(result.records)))
-                if config.output.dump_penalty_labels:
-                    _dump_penalty_labels(out_dir, run_id, seed, result)
+        for run_id, cfg in plan:
+            started = time.perf_counter()
+            result = run_experiment(cfg, train_clean, test, config.noise, cache)
+            elapsed = time.perf_counter() - started
+            stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+            counts = f"seed={cfg.seed} epochs={cfg.epochs} replayed={result.replayed}"
+            log_lines.append(f"{stamp} {run_id} {counts} {elapsed:.2f}s")
+            runs.append((run_id, list(result.records)))
+            if config.output.dump_penalty_labels:
+                _dump_penalty_labels(out_dir, run_id, cfg.seed, result)
     finally:
         # a failing run still leaves the files of the runs that finished before it
         if runs:

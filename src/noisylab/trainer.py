@@ -17,6 +17,7 @@ epoch end and consumed throughout the next epoch:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -166,12 +167,14 @@ class TrainState:
     net: Mlp
     opt: MomentumSgd
     penalty: PenaltyLabelSet
+    estimates: dict[PenaltyUpdate, PenaltyLabelSet] = field(default_factory=dict)  # per strategy
 
 
 @dataclass(frozen=True)
 class RunResult:
     records: tuple[RunRecord, ...]
     penalty_history: tuple[PenaltyLabelSet, ...]
+    replayed: int  # epochs taken from an EpochCache instead of trained
 
     @property
     def best_test_error(self) -> float:
@@ -200,10 +203,11 @@ def predict_in_chunks(net: Mlp, features: np.ndarray) -> np.ndarray:
 
 
 def train_epoch(
-    state: TrainState, dataset: LabeledDataset, config: TrainConfig, epoch: int
+    state: TrainState, dataset: LabeledDataset, config: TrainConfig, epoch: int, strategies: tuple = ()
 ) -> EpochStats:
     """Run one epoch in place and refresh the penalty estimate at its end.
 
+    ``state.estimates`` holds the estimate of its strategy and of each one in ``strategies``.
     Consumed penalty labels must carry the previous epoch's stamp; anything
     else means the update order broke, and the epoch refuses to run.
     """
@@ -221,7 +225,8 @@ def train_epoch(
 
     eye = np.eye(k)
     grad_fn = ce_grad_logits if config.loss is LossKind.CE else partial(sl_grad_logits, config=config.sl)
-    acc = ConfidenceAccumulator(k)  # this epoch's confidences only
+    wanted = (config.penalty_update, *strategies)
+    stacked = ConfidenceAccumulator(k) if PenaltyUpdate.STACKED in wanted else None  # this epoch's only
     trained: list[np.ndarray] = []  # the rows each step trains on
 
     for batch in epoch_batches(dataset, config.batch_size, (config.seed, SHUFFLE_STREAM), epoch):
@@ -230,8 +235,8 @@ def train_epoch(
         fwd = state.net.forward(dataset.features[batch])
         observed = dataset.observed_labels[batch]
         targets = eye[observed]
-        if config.penalty_update is PenaltyUpdate.STACKED:
-            acc.stack_confidences(fwd.probs, observed)
+        if stacked is not None:
+            stacked.stack_confidences(fwd.probs, observed)
         if selecting:
             scores = batch_scores(
                 variant, fwd.probs, targets, state.penalty.labels[observed], config.criteria.lam
@@ -244,11 +249,15 @@ def train_epoch(
         grads = state.net.backward(fwd.inputs[0], targets, grad_fn, forward=fwd)
         state.opt.step(state.net, grads, epoch)
 
-    if config.penalty_update is PenaltyUpdate.REPREDICT:
-        acc.stack_confidences(
-            predict_in_chunks(state.net, dataset.features), dataset.observed_labels
-        )
-    state.penalty = estimate_penalty_labels(acc, epoch)
+    state.estimates = {}
+    if stacked is not None:  # estimated and let go before the repredict pass, which needs as much memory
+        state.estimates[PenaltyUpdate.STACKED] = estimate_penalty_labels(stacked, epoch)
+        stacked = None
+    if PenaltyUpdate.REPREDICT in wanted:
+        repredicted = ConfidenceAccumulator(k)
+        repredicted.stack_confidences(predict_in_chunks(state.net, dataset.features), dataset.observed_labels)
+        state.estimates[PenaltyUpdate.REPREDICT] = estimate_penalty_labels(repredicted, epoch)
+    state.penalty = state.estimates[config.penalty_update]
 
     rows = np.concatenate(trained)
     return EpochStats(
@@ -265,40 +274,86 @@ def resolve_select_fraction(config: TrainConfig, noise_spec: NoiseSpec) -> float
     return 100.0 * (1.0 - noise_spec.epsilon)
 
 
+def epoch_key(config: TrainConfig, epoch: int) -> tuple[TrainConfig, int]:
+    """The config and epoch, with the fields this epoch's training does not read erased."""
+    variant = config.criteria.variant if epoch >= config.warmup_epochs else Variant.NONE
+    if variant in (Variant.NONE, Variant.OL):  # neither reads lambda or penalty labels
+        config = replace(config, criteria=CriteriaConfig(variant), penalty_update=PenaltyUpdate.STACKED)
+    return config, epoch
+
+
+class EpochCache:
+    """The epochs that the planned runs of one command share, each trained by the first to reach it."""
+
+    def __init__(self, plan: list[TrainConfig], train: LabeledDataset, test: LabeledDataset, spec: NoiseSpec):
+        self.inputs = (train, test, spec)
+        plan = [replace(c, select_fraction=resolve_select_fraction(c, spec)) for c in plan]
+        keys = [(epoch_key(c, e), c.penalty_update) for c in plan for e in range(c.epochs)]
+        self.users = Counter(keys)  # planned runs per epoch key and update strategy
+        self.readers = Counter(key for key, _ in keys)  # planned runs yet to reach each epoch key
+        self.found: dict = {}  # key -> the stats, test error, estimates and weights its epoch left
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises NumericalFault instead
 def run_experiment(
     config: TrainConfig,
     train_clean: LabeledDataset,
     test: LabeledDataset,
     noise_spec: NoiseSpec,
+    cache: EpochCache | None = None,
 ) -> RunResult:
     """Corrupt, train, and record one full run.
 
     The corruption draw is keyed by the run seed alone, so runs that share a
     seed see the same noisy labels no matter which variant they train.
     Returns per-epoch records plus every penalty estimate along the way.
+    With a ``cache``, the epochs an earlier planned run trained alike are replayed from it.
     """
     if (got := (test.k, test.d)) != (want := (train_clean.k, train_clean.d)):
         raise ValueError(f"test set (k, d) = {got} must equal the train set's {want}")
+    if cache is not None and any(a is not b for a, b in zip(cache.inputs, (train_clean, test, noise_spec))):
+        raise ValueError("the epoch cache was built for another train set, test set or noise spec")
     matrix = build_transition(noise_spec, train_clean.k)
     noisy = corrupt_labels(train_clean, matrix, (config.seed, NOISE_STREAM))
     resolved = replace(config, select_fraction=resolve_select_fraction(config, noise_spec))
     state = init_state(resolved, train_clean.d, train_clean.k)
+    users, readers, found = (cache.users, cache.readers, cache.found) if cache else (Counter(), Counter(), {})
 
     records: list[RunRecord] = []
     history: list[PenaltyLabelSet] = []
+    replayed, weights = 0, None  # where the epochs replayed so far left the weights
     for epoch in range(resolved.epochs):
-        stats = train_epoch(state, noisy, resolved, epoch)
+        key = epoch_key(resolved, epoch)
+        if key in found:  # an earlier run trained it alike
+            replayed, (stats, error, estimates, weights) = replayed + 1, found[key]
+            state.penalty = estimates[resolved.penalty_update]
+        else:
+            if replayed == epoch > 0:  # the first epoch this run trains itself
+                if weights is None:  # the run that trained them failed, or the calls left the plan
+                    raise RuntimeError(f"epoch {epoch - 1} kept no weights to resume training from")
+                state.net.params[:], state.opt.velocity[:] = weights
+            own = resolved.penalty_update
+            others = tuple(s for s in PenaltyUpdate if users[key, s] > (s is own))  # what other runs use
+            stats = train_epoch(state, noisy, resolved, epoch, others)
+            predictions = np.argmax(predict_in_chunks(state.net, test.features), axis=1)
+            error = test_error(predictions, test.true_labels)
+            if others:  # keep the weights if some of its runs part from this one after it
+                last = epoch + 1 == resolved.epochs
+                parting = not last and readers[epoch_key(resolved, epoch + 1)] < readers[key]
+                kept = (state.net.params.copy(), state.opt.velocity.copy()) if parting else None
+                found[key] = (stats, error, {s: state.estimates[s] for s in others}, kept)
+        readers[key] -= 1
+        if not readers[key]:
+            found.pop(key, None)
         history.append(state.penalty)
-        predictions = np.argmax(predict_in_chunks(state.net, test.features), axis=1)
         records.append(
             RunRecord(
                 **vars(stats),
                 epoch=epoch,
-                test_error=test_error(predictions, test.true_labels),
+                test_error=error,
                 lam=resolved.criteria.lam,
                 seed=resolved.seed,
                 variant=resolved.criteria.variant.value,
             )
         )
-    return RunResult(tuple(records), tuple(history))
+    return RunResult(tuple(records), tuple(history), replayed)

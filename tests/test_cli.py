@@ -218,6 +218,20 @@ class TestSweepAndCompare:
         ids = sorted(g["run_id"] for g in read_summary(out)["groups"])
         assert ids == ["all-repredict", "all-stacked", "ol-repredict", "ol-stacked"]
 
+    def test_run_log_counts_the_replayed_epochs(self, config_path, tmp_path):
+        # 2 epochs, 1 of warm-up: every run shares epoch 0, and ol, which reads
+        # no penalty labels, trains epoch 1 alike under both strategies
+        out = tmp_path / "out"
+        args = ["compare", "--config", config_path, "--out", str(out), "--variants", "ol,all"]
+        assert main([*args, "--strategies", "stacked,repredict"]) == EXIT_OK
+        lines = [line.split() for line in (out / "run.log").read_text().splitlines()]
+        assert [(fields[1], fields[4]) for fields in lines] == [
+            ("ol-stacked", "replayed=0"),
+            ("ol-repredict", "replayed=2"),
+            ("all-stacked", "replayed=1"),
+            ("all-repredict", "replayed=1"),
+        ]
+
     def test_compare_defaults_to_configured_combo(self, config_path, tmp_path):
         out = tmp_path / "out"
         assert main(["compare", "--config", config_path, "--out", str(out)]) == EXIT_OK

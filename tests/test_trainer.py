@@ -2,12 +2,17 @@
 
 import math
 import re
+from collections import Counter
+from dataclasses import replace
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisylab import trainer
 from noisylab.criteria import (
     ConfidenceAccumulator,
     PenaltyLabelSet,
@@ -15,11 +20,12 @@ from noisylab.criteria import (
 )
 from noisylab.data import epoch_batches, make_blobs
 from noisylab.losses import ce_grad_logits
-from noisylab.network import Mlp
+from noisylab.network import Mlp, NumericalFault
 from noisylab.noise import NoiseSpec, build_transition, corrupt_labels
 from noisylab.seeding import NOISE_STREAM, SHUFFLE_STREAM
 from noisylab.trainer import (
     CriteriaConfig,
+    EpochCache,
     LossKind,
     PenaltyUpdate,
     TrainConfig,
@@ -473,6 +479,123 @@ class TestRunExperiment:
             keep_ol = select_top_r(ol, 60.0).selected_indices
             keep_all = select_top_r(combined, 60.0).selected_indices
             assert np.array_equal(keep_ol, keep_all)
+
+
+def trained_alike(config, epoch):
+    """What an epoch's training reads of the fields a plan varies.
+
+    Before warm-up, and under none, every row trains; ol reads neither lambda
+    nor the penalty labels, so their update strategy does not matter either.
+    """
+    variant = config.criteria.variant if epoch >= config.warmup_epochs else Variant.NONE
+    reads_penalty = variant in (Variant.PL, Variant.ALL)
+    return (
+        config.seed,
+        variant,
+        config.criteria.lam if reads_penalty else None,
+        config.penalty_update if reads_penalty else None,
+        epoch,
+    )
+
+
+def same_history(a, b):
+    return len(a) == len(b) and all(
+        x.epoch_of_estimate == y.epoch_of_estimate
+        and np.array_equal(x.labels, y.labels)
+        and np.array_equal(x.fallback_mask, y.fallback_mask)
+        for x, y in zip(a, b)
+    )
+
+
+class TestEpochCache:
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(st.data())
+    def test_every_run_equals_the_same_run_alone(self, tiny_blobs, data):
+        train, test = tiny_blobs
+        spec = NoiseSpec("pair", 0.4)
+        epochs = data.draw(st.integers(1, 6), label="epochs")
+        warmup = data.draw(st.integers(0, epochs), label="warmup_epochs")
+        variants = data.draw(st.lists(st.sampled_from(Variant), min_size=1, max_size=4, unique=True))
+        updates = data.draw(st.lists(st.sampled_from(PenaltyUpdate), min_size=1, max_size=2, unique=True))
+        lams = data.draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=1, max_size=2, unique=True))
+        seeds = data.draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=2, unique=True))
+        plan = [
+            small_config(
+                epochs=epochs,
+                warmup_epochs=warmup,
+                criteria=CriteriaConfig(variant, lam),
+                penalty_update=update,
+                seed=seed,
+            )
+            for variant, update, lam, seed in product(variants, updates, lams, seeds)
+        ]
+        plan = data.draw(st.permutations(plan), label="run order")
+        alone = [run_experiment(cfg, train, test, spec) for cfg in plan]
+
+        cache = EpochCache(plan, train, test, spec)
+        trained = []
+
+        def counting_train_epoch(state, dataset, config, epoch, *args):
+            trained.append(trained_alike(config, epoch))
+            return train_epoch(state, dataset, config, epoch, *args)
+
+        with mock.patch.object(trainer, "train_epoch", counting_train_epoch):
+            cached = [run_experiment(cfg, train, test, spec, cache) for cfg in plan]
+        for a, c in zip(alone, cached):
+            assert c.records == a.records
+            assert same_history(c.penalty_history, a.penalty_history)
+        distinct = {trained_alike(cfg, e) for cfg in plan for e in range(epochs)}
+        assert Counter(trained) == Counter(distinct)
+        assert sum(c.replayed for c in cached) == len(plan) * epochs - len(distinct)
+        assert cache.found == {}  # each epoch goes after its last run
+
+    def test_nothing_is_kept_when_no_epoch_is_shared(self, tiny_blobs):
+        train, test = tiny_blobs
+        spec = NoiseSpec("pair", 0.4)
+        plan = [small_config(seed=seed) for seed in (1, 2, 3)]
+        cache = EpochCache(plan, train, test, spec)
+        extra = []
+
+        def recording_train_epoch(state, dataset, config, epoch, *args):
+            extra.extend(args)
+            return train_epoch(state, dataset, config, epoch, *args)
+
+        with mock.patch.object(trainer, "train_epoch", recording_train_epoch):
+            for cfg in plan:
+                assert run_experiment(cfg, train, test, spec, cache).replayed == 0
+                assert cache.found == {}
+        assert extra == [()] * 12  # no estimate beyond each run's own
+
+    @pytest.mark.parametrize("other", ["train", "test", "spec"])
+    def test_refuses_a_cache_built_for_other_inputs(self, tiny_blobs, other):
+        train, test = tiny_blobs
+        inputs = {"train": train, "test": test, "spec": NoiseSpec("pair", 0.4)}
+        cfg = small_config()
+        cache = EpochCache([cfg, replace(cfg, penalty_update=PenaltyUpdate.REPREDICT)], *inputs.values())
+        inputs[other] = replace(inputs[other])  # equal, but not the object the cache was built for
+        with pytest.raises(ValueError, match="epoch cache was built for another"):
+            run_experiment(cfg, *inputs.values(), cache)
+        assert cache.found == {}
+
+    def test_resuming_after_a_failed_run_is_refused(self, tiny_blobs):
+        # the run that trained epochs 0-1 failed in epoch 2, so no weights
+        # were kept where the next run would have to go on from
+        train, test = tiny_blobs
+        spec = NoiseSpec("pair", 0.4)
+        ol = small_config(criteria=CriteriaConfig(Variant.OL))
+        plan = [ol, replace(ol, penalty_update=PenaltyUpdate.REPREDICT)]
+        cache = EpochCache(plan, train, test, spec)
+
+        def failing_train_epoch(state, dataset, config, epoch, *args):
+            if epoch == 2:
+                raise NumericalFault("non-finite parameter after update")
+            return train_epoch(state, dataset, config, epoch, *args)
+
+        with mock.patch.object(trainer, "train_epoch", failing_train_epoch):
+            with pytest.raises(NumericalFault):
+                run_experiment(plan[0], train, test, spec, cache)
+        with pytest.raises(RuntimeError, match="epoch 1 kept no weights"):
+            run_experiment(plan[1], train, test, spec, cache)
 
 
 class TestDeskScaleBehavior:
