@@ -51,12 +51,10 @@ def criteria_all(
 
 
 class ConfidenceAccumulator:
-    """Per-class sums of prediction confidences over every stacked batch.
+    """Stacked batches of prediction confidences, folded into per-class means on demand.
 
-    Row j of ``sums`` holds the sum of confidence vectors over samples whose
-    observed label is j, and ``counts[j]`` their number, so class means
-    survive across mini-batches. Stacking only keeps a batch; the first read
-    after it folds every stacked row at once, in stacking order.
+    Stacking only keeps a batch; ``class_means`` folds every stacked row at
+    once, in stacking order, so class means survive across mini-batches.
     """
 
     def __init__(self, k: int):
@@ -64,7 +62,6 @@ class ConfidenceAccumulator:
             raise ValueError("k must be at least 2")
         self.k = k
         self._batches: list[tuple[np.ndarray, np.ndarray]] = []
-        self._folded: tuple[np.ndarray, np.ndarray] | None = None
 
     def stack_confidences(self, confidences: np.ndarray, observed_labels: np.ndarray) -> None:
         """Keep a copy of an (n, k) batch of confidences and its n observed labels for the fold."""
@@ -76,11 +73,11 @@ class ConfidenceAccumulator:
         if observed_labels.size and not 0 <= observed_labels.min() <= observed_labels.max() < self.k:
             raise ValueError(f"observed labels must lie in [0, {self.k})")
         self._batches.append((confidences, observed_labels))
-        self._folded = None
 
-    def _fold(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sums and counts of every stacked row, from one bincount per confidence column.
+    def class_means(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean confidence per observed class (zero rows where unseen) and each class's count.
 
+        The per-class sums come from one bincount per confidence column.
         bincount adds each label's weights in input order, starting from zero,
         so the sums equal sequential ``np.add.at`` into zeros bit for bit.
         One bincount per batch, added up afterwards, would not.
@@ -89,27 +86,8 @@ class ConfidenceAccumulator:
         labels = np.concatenate([np.empty(0, np.int64)] + [lab for _, lab in self._batches])
         columns = np.concatenate([np.empty((k, 0))] + [c.T for c, _ in self._batches], axis=1)
         sums = np.stack([np.bincount(labels, column, k) for column in columns], axis=1)
-        return sums, np.bincount(labels, minlength=k)
-
-    def _totals(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._folded is None:
-            self._folded = self._fold()
-        return self._folded
-
-    @property
-    def sums(self) -> np.ndarray:
-        return self._totals()[0]
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._totals()[1]
-
-    def class_means(self) -> np.ndarray:
-        """Mean confidence per observed class; zero rows where unseen."""
-        means = np.zeros_like(self.sums)
-        seen = self.counts > 0
-        means[seen] = self.sums[seen] / self.counts[seen, None]
-        return means
+        counts = np.bincount(labels, minlength=k)
+        return sums / np.maximum(counts, 1)[:, None], counts
 
 
 @dataclass(frozen=True)
@@ -153,10 +131,10 @@ def estimate_penalty_labels(accumulator: ConfidenceAccumulator, epoch: int) -> P
     and is marked in the fallback mask.
     """
     k = accumulator.k
-    off = accumulator.class_means()
+    off, counts = accumulator.class_means()
     np.fill_diagonal(off, 0.0)
     mass = off.sum(axis=1)
-    fallback = (accumulator.counts == 0) | (mass <= MASS_TOL)
+    fallback = (counts == 0) | (mass <= MASS_TOL)
 
     labels = PenaltyLabelSet.ideal_symmetric(k).labels
     labels[~fallback] = off[~fallback] / mass[~fallback, None]

@@ -277,8 +277,10 @@ def resolve_select_fraction(config: TrainConfig, noise_spec: NoiseSpec) -> float
 def epoch_key(config: TrainConfig, epoch: int) -> tuple[TrainConfig, int]:
     """The config and epoch, with the fields this epoch's training does not read erased."""
     variant = config.criteria.variant if epoch >= config.warmup_epochs else Variant.NONE
-    if variant in (Variant.NONE, Variant.OL):  # neither reads lambda or penalty labels
-        config = replace(config, criteria=CriteriaConfig(variant), penalty_update=PenaltyUpdate.STACKED)
+    if variant is not Variant.ALL:  # only all reads lambda
+        config = replace(config, criteria=CriteriaConfig(variant))
+    if variant in (Variant.NONE, Variant.OL):  # neither reads penalty labels
+        config = replace(config, penalty_update=PenaltyUpdate.STACKED)
     return config, epoch
 
 

@@ -232,6 +232,18 @@ class TestSweepAndCompare:
             ("all-repredict", "replayed=1"),
         ]
 
+    def test_pl_sweep_replays_whole_runs_across_lambdas(self, config_path, tmp_path):
+        # pl reads the penalty labels but not lambda, so later lambdas replay every epoch
+        out = tmp_path / "out"
+        args = ["sweep-lambda", "--config", config_path, "--out", str(out), "--lambdas", "0,1,2"]
+        assert main([*args, "--set", "train.criteria.variant=pl"]) == EXIT_OK
+        lines = [line.split() for line in (out / "run.log").read_text().splitlines()]
+        assert [(fields[1], fields[4]) for fields in lines] == [
+            ("pl-lam0.0", "replayed=0"),
+            ("pl-lam1.0", "replayed=2"),
+            ("pl-lam2.0", "replayed=2"),
+        ]
+
     def test_compare_defaults_to_configured_combo(self, config_path, tmp_path):
         out = tmp_path / "out"
         assert main(["compare", "--config", config_path, "--out", str(out)]) == EXIT_OK

@@ -63,18 +63,25 @@ class TestConfidenceAccumulator:
         acc = ConfidenceAccumulator(3)
         acc.stack_confidences(np.array([[0.8, 0.1, 0.1]]), np.array([0]))
         acc.stack_confidences(np.array([[0.4, 0.5, 0.1]]), np.array([0]))
-        means = acc.class_means()
+        means, counts = acc.class_means()
         assert np.allclose(means[0], [0.6, 0.3, 0.1])
         assert np.allclose(means[1], 0.0)
-        assert acc.counts.tolist() == [2, 0, 0]
+        assert counts.tolist() == [2, 0, 0]
 
     def test_repeated_label_in_one_batch(self):
         # the fold must accumulate duplicates rather than overwrite
         acc = ConfidenceAccumulator(2)
         probs = np.array([[0.9, 0.1], [0.7, 0.3], [0.2, 0.8]])
         acc.stack_confidences(probs, np.array([0, 0, 1]))
-        assert np.allclose(acc.sums[0], [1.6, 0.4])
-        assert acc.counts.tolist() == [2, 1]
+        means, counts = acc.class_means()
+        assert np.allclose(means[0], [0.8, 0.2])
+        assert counts.tolist() == [2, 1]
+
+    def test_empty_accumulator_gives_float_zero_means(self):
+        means, counts = ConfidenceAccumulator(3).class_means()
+        assert means.dtype == np.float64
+        assert means.tolist() == [[0.0] * 3] * 3
+        assert counts.tolist() == [0, 0, 0]
 
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
@@ -105,13 +112,15 @@ class TestConfidenceAccumulator:
         acc.stack_confidences(probs, labels)
         probs[:] = 9.0
         labels[:] = 0
-        assert acc.sums.tolist() == [[0.75, 0.25], [0.5, 0.5]]
-        assert acc.counts.tolist() == [1, 1]
+        means, counts = acc.class_means()
+        assert means.tolist() == [[0.75, 0.25], [0.5, 0.5]]
+        assert counts.tolist() == [1, 1]
 
     @settings(deadline=None, max_examples=60)
     @given(st.data())
     def test_fold_equals_sequential_add_at(self, data):
-        # however the rows are split into stacks, the sums keep np.add.at's bits
+        # however the rows are split into stacks, the means keep the bits of
+        # np.add.at's sums over the counts
         k = data.draw(st.integers(2, 120))
         seen = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
         n = data.draw(st.integers(0, 300))
@@ -125,8 +134,10 @@ class TestConfidenceAccumulator:
         for rows in np.split(np.arange(n), cuts):
             acc.stack_confidences(confidences[rows], labels[rows])
             np.add.at(expected, labels[rows], confidences[rows])
-        assert np.array_equal(acc.sums, expected)
-        assert np.array_equal(acc.counts, np.bincount(labels, minlength=k))
+        counts = np.bincount(labels, minlength=k)
+        means, got_counts = acc.class_means()
+        assert np.array_equal(means, expected / np.maximum(counts, 1)[:, None])
+        assert np.array_equal(got_counts, counts)
 
 
 class TestEstimatePenaltyLabels:
@@ -182,13 +193,13 @@ class TestEstimatePenaltyLabels:
         acc = ConfidenceAccumulator(k)
         for label, confidences in data.draw(st.lists(batch, max_size=3 * k)):
             acc.stack_confidences(np.array([confidences]), np.array([label]))
-        off = acc.class_means()
+        off, counts = acc.class_means()
         np.fill_diagonal(off, 0.0)
 
         estimate = estimate_penalty_labels(acc, epoch=3)
         estimate.validate()
         fallback = estimate.fallback_mask
-        assert np.array_equal(fallback, (acc.counts == 0) | (off.sum(axis=1) <= MASS_TOL))
+        assert np.array_equal(fallback, (counts == 0) | (off.sum(axis=1) <= MASS_TOL))
         uniform = PenaltyLabelSet.ideal_symmetric(k).labels
         assert estimate.labels[fallback].tobytes() == uniform[fallback].tobytes()
         assert estimate.epoch_of_estimate == 3

@@ -266,18 +266,18 @@ class TestTrainEpoch:
         )
         state = init_state(cfg, train.d, train.k)
         stacks, folds = [], []
-        real_stack, real_fold = ConfidenceAccumulator.stack_confidences, ConfidenceAccumulator._fold
+        real_stack, real_means = ConfidenceAccumulator.stack_confidences, ConfidenceAccumulator.class_means
 
         def counting_stack(acc, confidences, observed_labels):
             stacks.append(len(observed_labels))
             return real_stack(acc, confidences, observed_labels)
 
-        def counting_fold(acc):
+        def counting_means(acc):
             folds.append(1)
-            return real_fold(acc)
+            return real_means(acc)
 
         monkeypatch.setattr(ConfidenceAccumulator, "stack_confidences", counting_stack)
-        monkeypatch.setattr(ConfidenceAccumulator, "_fold", counting_fold)
+        monkeypatch.setattr(ConfidenceAccumulator, "class_means", counting_means)
         train_epoch(state, train, cfg, epoch=0)
         if update is PenaltyUpdate.STACKED:
             batches = epoch_batches(train, cfg.batch_size, (cfg.seed, SHUFFLE_STREAM), 0)
@@ -486,13 +486,14 @@ def trained_alike(config, epoch):
 
     Before warm-up, and under none, every row trains; ol reads neither lambda
     nor the penalty labels, so their update strategy does not matter either.
+    pl reads the penalty labels but not lambda; only all reads both.
     """
     variant = config.criteria.variant if epoch >= config.warmup_epochs else Variant.NONE
     reads_penalty = variant in (Variant.PL, Variant.ALL)
     return (
         config.seed,
         variant,
-        config.criteria.lam if reads_penalty else None,
+        config.criteria.lam if variant is Variant.ALL else None,
         config.penalty_update if reads_penalty else None,
         epoch,
     )

@@ -8,9 +8,9 @@ BLAS thread, writing its outputs to ``OUT_DIR/<name>``, then prints
 ``sha256  path`` (path relative to OUT_DIR) for every output file except
 ``run.log``, which holds wall-clock times. The set covers every command, the
 penalty-label dumps, unsorted seed lists, runs that share epochs (a shared
-warm-up trained by a repredict run, no warm-up, all warm-up, and whole ol runs
-replayed across lambdas) and the three benchmark workloads (idx784 on the IDX
-quartet that ``perfbench/idxgen.py`` writes for seed 1).
+warm-up trained by a repredict run, no warm-up, all warm-up, and whole ol and
+pl runs replayed across lambdas) and the three benchmark workloads (idx784 on
+the IDX quartet that ``perfbench/idxgen.py`` writes for seed 1).
 
 After the hashes it prints one line ``exit N  name  'stderr'`` per command of
 ``failing_commands``, which covers exit codes 2 to 5: bad flag lists, a
@@ -56,7 +56,7 @@ def commands(inputs: Path) -> dict[str, tuple[str, ...]]:
         "quick-sweep": ("sweep-lambda", *QUICK, "--lambdas", "0,0.5,1,2", "--seeds", "2,3,1"),
         "quick-compare-sl": ("compare", *QUICK, *ALL_COMBOS, "--set", "train.loss=sl", *DUMPS),
         # runs that share epochs: a repredict run trains the shared warm-up, no epoch is
-        # shared before selection, every epoch is warm-up, whole ol runs replay across lambdas
+        # shared before selection, every epoch is warm-up, whole ol and pl runs replay across lambdas
         "quick-compare-repredict-first": (
             "compare", *QUICK, "--variants", "none,ol,pl,all", "--strategies", "repredict,stacked", *DUMPS
         ),
@@ -65,6 +65,10 @@ def commands(inputs: Path) -> dict[str, tuple[str, ...]]:
         "quick-sweep-ol": (
             "sweep-lambda", *QUICK, "--lambdas", "0,1,2", "--seeds", "2,1", *DUMPS,
             "--set", "train.criteria.variant=ol",
+        ),
+        "quick-sweep-pl": (
+            "sweep-lambda", *QUICK, "--lambdas", "0,1,2", "--seeds", "2,1", *DUMPS,
+            "--set", "train.criteria.variant=pl",
         ),
         "k100-compare-10-epochs": (*bench["k100-compare"], "--set", "train.epochs=10"),
         **bench,
