@@ -19,7 +19,6 @@ fault. Anything else is a program error and surfaces as a traceback.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 import time
@@ -42,7 +41,7 @@ from .config import (
 )
 from .metrics import summarize_runs, write_metrics_csv, write_summary_json
 from .network import NumericalFault
-from .noise import check_class_count
+from .noise import SYMMETRY_WARN_ABOVE, check_class_count
 from .trainer import (
     CriteriaConfig, EpochCache, PenaltyUpdate, RunResult, TrainConfig, Variant, run_experiment
 )
@@ -178,10 +177,14 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
         check_class_count(config.noise, train_clean.k)
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
+    out_dir = _output_dir(args, config)  # made when the first file is written
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"output: {nearest} is a file, not a directory")
+    if config.noise.exceeds_tested_range:
+        print(f"warning: symmetric noise rate {config.noise.epsilon} is above {SYMMETRY_WARN_ABOVE}, "
+              "outside the tested range", file=sys.stderr)
     cache = EpochCache([cfg for _, cfg in plan], train_clean, test, config.noise)
-    out_dir = _output_dir(args, config)
-    created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = []
     log_lines = []
@@ -199,15 +202,12 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
     finally:
         # a failing run still leaves the files of the runs that finished before it
         if runs:
+            out_dir.mkdir(parents=True, exist_ok=True)
             if "csv" in config.output.formats:
                 write_metrics_csv(out_dir / "metrics.csv", runs)
             if "json" in config.output.formats:
                 write_summary_json(out_dir / "summary.json", summarize_runs(runs))
             (out_dir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8", newline="\n")
-        else:  # no run finished, so no file was written: remove the directories made above
-            with contextlib.suppress(OSError):  # stop at one another command has written to
-                for path in created:
-                    path.rmdir()
     return out_dir
 
 

@@ -10,7 +10,6 @@ Three noise families, all with diagonal 1 - epsilon:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -84,14 +83,6 @@ def check_class_count(spec: NoiseSpec, k: int) -> None:
 def build_transition(spec: NoiseSpec, k: int) -> np.ndarray:
     """K x K row-stochastic matrix; entry (i, j) = P(observed j | true i)."""
     check_class_count(spec, k)
-    if spec.exceeds_tested_range:
-        warnings.warn(
-            f"symmetric noise rate {spec.epsilon} is above {SYMMETRY_WARN_ABOVE}, "
-            "outside the tested range",
-            UserWarning,
-            stacklevel=2,
-        )
-
     eps = float(spec.epsilon)
     matrix = np.zeros((k, k), dtype=np.float64)
     rows = np.arange(k)

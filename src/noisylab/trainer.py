@@ -212,11 +212,11 @@ def train_epoch(
     else means the update order broke, and the epoch refuses to run.
     """
     k = dataset.k
-    variant = config.criteria.variant
-    selecting = epoch >= config.warmup_epochs and variant is not Variant.NONE
+    criteria = epoch_key(config, epoch)[0].criteria  # selection reads only what the epoch key keeps
+    selecting = criteria.variant is not Variant.NONE
     if selecting and config.select_fraction is None:
         raise ValueError("select_fraction is unset; resolve it before training")
-    if selecting and variant in (Variant.PL, Variant.ALL):
+    if criteria.variant in (Variant.PL, Variant.ALL):
         if state.penalty.epoch_of_estimate != epoch - 1:
             raise RuntimeError(
                 f"penalty labels stamped {state.penalty.epoch_of_estimate} "
@@ -239,7 +239,7 @@ def train_epoch(
             stacked.stack_confidences(fwd.probs, observed)
         if selecting:
             scores = batch_scores(
-                variant, fwd.probs, targets, state.penalty.labels[observed], config.criteria.lam
+                criteria.variant, fwd.probs, targets, state.penalty.labels[observed], criteria.lam
             )
             kept = select_top_r(scores, config.select_fraction).selected_indices
             fwd = fwd.take(kept)
@@ -289,7 +289,6 @@ class EpochCache:
 
     def __init__(self, plan: list[TrainConfig], train: LabeledDataset, test: LabeledDataset, spec: NoiseSpec):
         self.inputs = (train, test, spec)
-        plan = [replace(c, select_fraction=resolve_select_fraction(c, spec)) for c in plan]
         keys = [(epoch_key(c, e), c.penalty_update) for c in plan for e in range(c.epochs)]
         self.users = Counter(keys)  # planned runs per epoch key and update strategy
         self.readers = Counter(key for key, _ in keys)  # planned runs yet to reach each epoch key
@@ -309,39 +308,40 @@ def run_experiment(
     The corruption draw is keyed by the run seed alone, so runs that share a
     seed see the same noisy labels no matter which variant they train.
     Returns per-epoch records plus every penalty estimate along the way.
-    With a ``cache``, the epochs an earlier planned run trained alike are replayed from it.
+    With a ``cache``, the epochs an earlier planned run trained alike are replayed from it;
+    without one, the run goes through a cache planned for it alone, which shares nothing.
     """
     if (got := (test.k, test.d)) != (want := (train_clean.k, train_clean.d)):
         raise ValueError(f"test set (k, d) = {got} must equal the train set's {want}")
-    if cache is not None and any(a is not b for a, b in zip(cache.inputs, (train_clean, test, noise_spec))):
+    cache = cache or EpochCache([config], train_clean, test, noise_spec)
+    if any(a is not b for a, b in zip(cache.inputs, (train_clean, test, noise_spec))):
         raise ValueError("the epoch cache was built for another train set, test set or noise spec")
     matrix = build_transition(noise_spec, train_clean.k)
     noisy = corrupt_labels(train_clean, matrix, (config.seed, NOISE_STREAM))
     resolved = replace(config, select_fraction=resolve_select_fraction(config, noise_spec))
     state = init_state(resolved, train_clean.d, train_clean.k)
-    users, readers, found = (cache.users, cache.readers, cache.found) if cache else (Counter(), Counter(), {})
+    users, readers, found = cache.users, cache.readers, cache.found
 
     records: list[RunRecord] = []
     history: list[PenaltyLabelSet] = []
     replayed, weights = 0, None  # where the epochs replayed so far left the weights
-    for epoch in range(resolved.epochs):
-        key = epoch_key(resolved, epoch)
+    for epoch in range(config.epochs):
+        key = epoch_key(config, epoch)
         if key in found:  # an earlier run trained it alike
             replayed, (stats, error, estimates, weights) = replayed + 1, found[key]
-            state.penalty = estimates[resolved.penalty_update]
+            state.penalty = estimates[config.penalty_update]
         else:
             if replayed == epoch > 0:  # the first epoch this run trains itself
                 if weights is None:  # the run that trained them failed, or the calls left the plan
                     raise RuntimeError(f"epoch {epoch - 1} kept no weights to resume training from")
                 state.net.params[:], state.opt.velocity[:] = weights
-            own = resolved.penalty_update
+            own = config.penalty_update
             others = tuple(s for s in PenaltyUpdate if users[key, s] > (s is own))  # what other runs use
             stats = train_epoch(state, noisy, resolved, epoch, others)
             predictions = np.argmax(predict_in_chunks(state.net, test.features), axis=1)
             error = test_error(predictions, test.true_labels)
             if others:  # keep the weights if some of its runs part from this one after it
-                last = epoch + 1 == resolved.epochs
-                parting = not last and readers[epoch_key(resolved, epoch + 1)] < readers[key]
+                parting = readers[epoch_key(config, epoch + 1)] < readers[key]
                 kept = (state.net.params.copy(), state.opt.velocity.copy()) if parting else None
                 found[key] = (stats, error, {s: state.estimates[s] for s in others}, kept)
         readers[key] -= 1
@@ -353,9 +353,9 @@ def run_experiment(
                 **vars(stats),
                 epoch=epoch,
                 test_error=error,
-                lam=resolved.criteria.lam,
-                seed=resolved.seed,
-                variant=resolved.criteria.variant.value,
+                lam=config.criteria.lam,
+                seed=config.seed,
+                variant=config.criteria.variant.value,
             )
         )
     return RunResult(tuple(records), tuple(history), replayed)

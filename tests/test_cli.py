@@ -480,6 +480,21 @@ class TestFailureExits:
             "error[NUMERICAL_FAULT]: non-finite logits in forward pass"
         ]
 
+    def test_untested_noise_rate_prints_one_warning_line(self, config_path, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-m", "noisylab.cli", "run", "--config", config_path]
+            + ["--out", str(tmp_path / "o"), "--set", "noise.kind=symmetry", "--set", "noise.epsilon=0.7"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == EXIT_OK
+        assert completed.stderr.splitlines() == [
+            "warning: symmetric noise rate 0.7 is above 0.6, outside the tested range"
+        ]
+
     def test_repeated_key_in_config_file_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "twice.yaml"
         path.write_text(
@@ -656,7 +671,7 @@ class TestConfigAndDataBoundaries:
         self, config_path, tmp_path, capsys, monkeypatch
     ):
         def other_command_writes_then_fault(*args, **kwargs):
-            (tmp_path / "new" / "other").mkdir()
+            (tmp_path / "new" / "other").mkdir(parents=True)
             raise NumericalFault("non-finite logits in forward pass")
 
         monkeypatch.setattr("noisylab.cli.run_experiment", other_command_writes_then_fault)
@@ -665,6 +680,33 @@ class TestConfigAndDataBoundaries:
         assert capsys.readouterr().err == "error[NUMERICAL_FAULT]: non-finite logits in forward pass\n"
         assert not out.exists()
         assert [p.name for p in (tmp_path / "new").iterdir()] == ["other"]
+
+    def test_no_directory_is_made_before_the_first_run_finishes(
+        self, config_path, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "new" / "o"
+        seen = []
+
+        def recording_run(*args, **kwargs):
+            seen.append((out.exists(), out.parent.exists()))
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr("noisylab.cli.run_experiment", recording_run)
+        assert main(["run", "--config", config_path, "--out", str(out)]) == EXIT_OK
+        assert seen == [(False, False)]
+        assert (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_path_through_a_file_is_config_error(self, config_path, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / below if below else taken
+        assert main(["run", "--config", config_path, "--out", str(out)]) == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == (
+            f"error[CONFIG_INVALID]: output: {taken} is a file, not a directory\n"
+        )
+        assert taken.read_text() == "not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["experiment.yaml", "taken"]
 
     def test_fault_in_a_later_run_keeps_finished_runs(
         self, config_path, tmp_path, capsys, monkeypatch

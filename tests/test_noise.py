@@ -83,8 +83,6 @@ class TestBuildTransition:
     def test_symmetry_above_tested_range_warns(self):
         spec = NoiseSpec("symmetry", 0.7)
         assert spec.exceeds_tested_range
-        with pytest.warns(UserWarning):
-            build_transition(spec, 10)
         assert not NoiseSpec("symmetry", 0.6).exceeds_tested_range
 
 
@@ -193,7 +191,6 @@ class TestCorruptLabels:
 
 
 class TestCorruptLabelsProperty:
-    @pytest.mark.filterwarnings("ignore:symmetric noise rate")
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(data=st.data())
     def test_row_frequencies_within_six_sigma(self, data):

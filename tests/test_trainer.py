@@ -31,6 +31,7 @@ from noisylab.trainer import (
     TrainConfig,
     Variant,
     batch_scores,
+    epoch_key,
     init_state,
     predict_in_chunks,
     resolve_select_fraction,
@@ -453,6 +454,25 @@ class TestRunExperiment:
         baseline = [r.test_error for r in outputs[0].records]
         for result in outputs[1:]:
             assert [r.test_error for r in result.records] == baseline
+
+    def test_selection_reads_only_the_epoch_key(self, tiny_blobs, monkeypatch):
+        # runs whose epoch keys are equal share that epoch, so selection must
+        # score with the criteria the key keeps: ol and pl see lambda erased
+        train, test = tiny_blobs
+        plan = [small_config(criteria=CriteriaConfig(v, 2.0)) for v in (Variant.OL, Variant.PL, Variant.ALL)]
+        seen = []  # per run, the (variant, lambda) pairs that scored its batches
+
+        def recording_scores(variant, confidences, observed_onehot, penalty_rows, lam):
+            seen[-1].add((variant, lam))
+            return batch_scores(variant, confidences, observed_onehot, penalty_rows, lam)
+
+        monkeypatch.setattr(trainer, "batch_scores", recording_scores)
+        for cfg in plan:
+            seen.append(set())
+            run_experiment(cfg, train, test, NoiseSpec("pair", 0.4))
+        keys = [{epoch_key(cfg, e)[0].criteria for e in range(cfg.warmup_epochs, cfg.epochs)} for cfg in plan]
+        assert seen == [{(c.variant, c.lam) for c in criteria} for criteria in keys]
+        assert [c.lam for (c,) in keys] == [1.0, 1.0, 2.0]
 
     @pytest.mark.parametrize("k, d", [(4, 2), (3, 3)])
     def test_test_set_must_match_train_classes_and_width(self, tiny_blobs, k, d):
