@@ -19,6 +19,7 @@ fault. Anything else is a program error and surfaces as a traceback.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
 import time
@@ -161,13 +162,21 @@ def _plan(args: argparse.Namespace, config: ExperimentConfig) -> list[tuple[str,
     return plan
 
 
-def _dump_penalty_labels(out_dir: Path, run_id: str, seed: int, result: RunResult) -> None:
+def _dump_penalty_labels(out_dir: Path, finished: list[tuple[str, int, RunResult]]) -> None:
     sub = out_dir / "penalty_labels"
     sub.mkdir(parents=True, exist_ok=True)
-    for estimate in result.penalty_history:
-        rows = "\n".join(",".join(map(repr, row)) for row in estimate.labels.tolist())
-        path = sub / f"{run_id}-seed{seed}-epoch{estimate.epoch_of_estimate:03d}.csv"
-        path.write_text(rows + "\n", encoding="utf-8", newline="\n")
+    for run_id, seed, result in finished:
+        for estimate in result.penalty_history:
+            rows = "\n".join(",".join(map(repr, row)) for row in estimate.labels.tolist())
+            path = sub / f"{run_id}-seed{seed}-epoch{estimate.epoch_of_estimate:03d}.csv"
+            path.write_text(rows + "\n", encoding="utf-8", newline="\n")
+
+
+def _join(writer: multiprocessing.Process | None) -> None:
+    if writer is not None:
+        writer.join()
+        if writer.exitcode != 0:
+            raise RuntimeError(f"penalty-label writer exited with code {writer.exitcode}")
 
 
 def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
@@ -178,7 +187,8 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
     out_dir = _output_dir(args, config)  # made when the first file is written
-    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    deepest = out_dir / "penalty_labels" if config.output.dump_penalty_labels else out_dir
+    nearest = next(p for p in (deepest, *deepest.parents) if p.exists())
     if not nearest.is_dir():
         raise ConfigError(f"output: {nearest} is a file, not a directory")
     if config.noise.exceeds_tested_range:
@@ -188,6 +198,9 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
 
     runs = []
     log_lines = []
+    # one background writer formats the dumps while later runs train
+    writer = None
+    unwritten: list[tuple[str, int, RunResult]] = []
     try:
         for run_id, cfg in plan:
             started = time.perf_counter()
@@ -198,16 +211,26 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
             log_lines.append(f"{stamp} {run_id} {counts} {elapsed:.2f}s")
             runs.append((run_id, list(result.records)))
             if config.output.dump_penalty_labels:
-                _dump_penalty_labels(out_dir, run_id, cfg.seed, result)
+                unwritten.append((run_id, cfg.seed, result))
+                if writer is None or not writer.is_alive():
+                    _join(writer)
+                    writer = multiprocessing.Process(target=_dump_penalty_labels, args=(out_dir, unwritten))
+                    writer.start()
+                    unwritten = []
     finally:
         # a failing run still leaves the files of the runs that finished before it
-        if runs:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            if "csv" in config.output.formats:
-                write_metrics_csv(out_dir / "metrics.csv", runs)
-            if "json" in config.output.formats:
-                write_summary_json(out_dir / "summary.json", summarize_runs(runs))
-            (out_dir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8", newline="\n")
+        try:
+            if runs:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                if "csv" in config.output.formats:
+                    write_metrics_csv(out_dir / "metrics.csv", runs)
+                if "json" in config.output.formats:
+                    write_summary_json(out_dir / "summary.json", summarize_runs(runs))
+                (out_dir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8", newline="\n")
+        finally:
+            _join(writer)
+            if unwritten:
+                _dump_penalty_labels(out_dir, unwritten)
     return out_dir
 
 

@@ -5,6 +5,7 @@ tests and the acceptance gate read them; each is three full 100-epoch runs.
 Build wall times are recorded so the runtime criteria can see them.
 """
 
+import multiprocessing
 import time
 
 import pytest
@@ -22,6 +23,12 @@ from noisylab.trainer import (
 ACCEPT_SEEDS = (1, 2, 3)
 
 RUN_TIMES: dict[str, float] = {}
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_its_test():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, overrides, exit codes, determinism."""
 
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -51,6 +52,22 @@ def config_path(tmp_path):
 
 def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
+
+
+DUMPS = ["--set", "output.dump_penalty_labels=true"]
+
+
+def fault_on_call(n):
+    """A ``run_experiment`` that raises a numerical fault on its n-th call."""
+    calls = []
+
+    def run(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == n:
+            raise NumericalFault("non-finite parameters after the update")
+        return run_experiment(*args, **kwargs)
+
+    return run
 
 
 class TestRunCommand:
@@ -708,18 +725,24 @@ class TestConfigAndDataBoundaries:
         assert taken.read_text() == "not a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["experiment.yaml", "taken"]
 
+    def test_dumps_path_that_is_a_file_is_config_error_before_any_run(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "penalty_labels").write_text("taken\n")
+        monkeypatch.setattr("noisylab.cli.run_experiment", lambda *a, **k: pytest.fail("a run started"))
+        args = ["run", "--config", config_path, "--out", str(out), *DUMPS]
+        assert main(args) == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == (
+            f"error[CONFIG_INVALID]: output: {out / 'penalty_labels'} is a file, not a directory\n"
+        )
+        assert [p.name for p in out.iterdir()] == ["penalty_labels"]
+
     def test_fault_in_a_later_run_keeps_finished_runs(
         self, config_path, tmp_path, capsys, monkeypatch
     ):
-        calls = []
-
-        def fault_on_second_call(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:
-                raise NumericalFault("non-finite parameters after the update")
-            return run_experiment(*args, **kwargs)
-
-        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_second_call)
+        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_call(2))
         out = tmp_path / "o"
         args = ["run", "--config", config_path, "--out", str(out), "--seeds", "1,2"]
         assert main(args) == EXIT_NUMERICAL_FAULT
@@ -742,3 +765,87 @@ class TestConfigAndDataBoundaries:
         monkeypatch.setattr("noisylab.cli.run_experiment", broken_run)
         with pytest.raises(ValueError, match="internal invariant broken"):
             main(["run", "--config", config_path, "--out", str(tmp_path / "o")])
+
+
+class BusyWriter:
+    """A real writer process that reports itself alive until it is joined."""
+
+    def __init__(self, *args, **kwargs):
+        self.process = multiprocessing.get_context().Process(*args, **kwargs)  # not the patched name
+
+    def start(self):
+        self.process.start()
+
+    def is_alive(self):
+        return True
+
+    def join(self):
+        self.process.join()
+
+    @property
+    def exitcode(self):
+        return self.process.exitcode
+
+
+class TestDumpWriter:
+    """One background process writes the penalty-label dumps while later runs train."""
+
+    def test_at_most_one_writer_is_alive_and_none_outlives_the_command(self, tmp_path, monkeypatch):
+        real_process = multiprocessing.Process
+        writers = []
+
+        def recording_process(*args, **kwargs):
+            assert not any(w.is_alive() for w in writers)
+            writers.append(real_process(*args, **kwargs))
+            return writers[-1]
+
+        monkeypatch.setattr("noisylab.cli.multiprocessing.Process", recording_process)
+        quick = Path(__file__).resolve().parents[1] / "configs" / "quick.yaml"
+        out = tmp_path / "o"
+        # ol-repredict replays ol-stacked whole, so it finishes while a writer may still be busy
+        args = ["compare", "--config", str(quick), "--out", str(out), *DUMPS]
+        assert main([*args, "--variants", "ol,all", "--strategies", "stacked,repredict"]) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        assert writers and all(w.exitcode == 0 for w in writers)
+        run_ids = ("ol-stacked", "ol-repredict", "all-stacked", "all-repredict")
+        expected = [f"{r}-seed1-epoch{e:03d}.csv" for r in run_ids for e in range(10)]
+        assert sorted(p.name for p in (out / "penalty_labels").iterdir()) == sorted(expected)
+
+    def test_writer_failure_is_a_program_error_after_the_metrics_files(self, config_path, tmp_path):
+        out = tmp_path / "o"
+        (out / "penalty_labels" / "all-stacked-lam1.0-seed1-epoch000.csv").mkdir(parents=True)
+        with pytest.raises(RuntimeError, match="penalty-label writer exited with code 1"):
+            main(["run", "--config", config_path, "--out", str(out), *DUMPS])
+        assert multiprocessing.active_children() == []
+        for name in ("metrics.csv", "summary.json", "run.log"):
+            assert (out / name).is_file()
+
+    def test_fault_in_a_later_run_keeps_the_finished_dumps(self, config_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_call(2))
+        out = tmp_path / "o"
+        args = ["run", "--config", config_path, "--out", str(out), "--seeds", "1,2", *DUMPS]
+        assert main(args) == EXIT_NUMERICAL_FAULT
+        capsys.readouterr()
+        assert sorted(p.name for p in (out / "penalty_labels").iterdir()) == [
+            "all-stacked-lam1.0-seed1-epoch000.csv",
+            "all-stacked-lam1.0-seed1-epoch001.csv",
+        ]
+
+    def test_runs_finished_while_the_writer_is_busy_are_written_by_the_command(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        writers = []
+
+        def busy_writer(*args, **kwargs):
+            writers.append(BusyWriter(*args, **kwargs))
+            return writers[-1]
+
+        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_call(3))
+        monkeypatch.setattr("noisylab.cli.multiprocessing.Process", busy_writer)
+        out = tmp_path / "o"
+        args = ["run", "--config", config_path, "--out", str(out), "--seeds", "1,2,3", *DUMPS]
+        assert main(args) == EXIT_NUMERICAL_FAULT
+        capsys.readouterr()
+        assert len(writers) == 1  # seed 2 finished while the seed-1 writer still ran
+        expected = [f"all-stacked-lam1.0-seed{seed}-epoch{e:03d}.csv" for seed in (1, 2) for e in (0, 1)]
+        assert sorted(p.name for p in (out / "penalty_labels").iterdir()) == expected

@@ -16,10 +16,10 @@ After the hashes it prints one line ``exit N  name  'stderr'`` per command of
 ``failing_commands``, which covers exit codes 2 to 5: bad flag lists, a
 repeated list item, missing and malformed config files and overrides, a
 config file that repeats a key, invalid values, an impossible noise kind, a
-missing IDX file, a blob draw that overflows, a diverging run and an output
-path that is a file. Their outputs go to a temporary directory; in stderr
-that directory reads ``<tmp>`` and the checkout root ``<root>``, so two
-checkouts compare.
+missing IDX file, a blob draw that overflows, a diverging run, and an output
+path or a penalty-label path that is a file. Their outputs go to a temporary
+directory; in stderr that directory reads ``<tmp>`` and the checkout root
+``<root>``, so two checkouts compare.
 
 To check that a change keeps the outputs byte-identical, run the script in a
 checkout of the change and in one of its parent (copy the script there if the
@@ -86,6 +86,8 @@ def failing_commands(tmp: Path) -> dict[str, tuple[str, ...]]:
     keys = ("images", "labels", "test_images", "test_labels")
     idx.write_text("dataset:\n  kind: idx\n" + "".join(f"  {k}: {tmp / k}\n" for k in keys))
     (tmp / "output-is-a-file").write_text("taken\n")  # the --out that run_cli gives that command
+    (tmp / "dumps-path-is-a-file").mkdir()
+    (tmp / "dumps-path-is-a-file" / "penalty_labels").write_text("taken\n")
     run = ("run", *QUICK)
     return {
         "bad-lambda-list": ("sweep-lambda", *QUICK, "--lambdas", "1,-2"),
@@ -107,6 +109,7 @@ def failing_commands(tmp: Path) -> dict[str, tuple[str, ...]]:
         "blob-overflow": (*run, "--set", "dataset.spread=1.0e+308"),
         "diverging-run": (*run, "--set", "train.learning_rate=1.0e+200"),
         "output-is-a-file": run,
+        "dumps-path-is-a-file": (*run, *DUMPS),
     }
 
 
