@@ -21,8 +21,10 @@ from __future__ import annotations
 import argparse
 import multiprocessing
 import os
+import queue as queues
 import sys
 import time
+from contextlib import suppress
 from dataclasses import replace
 from datetime import datetime, timezone
 from enum import EnumMeta
@@ -172,6 +174,40 @@ def _dump_penalty_labels(out_dir: Path, finished: list[tuple[str, int, RunResult
             path.write_text(rows + "\n", encoding="utf-8", newline="\n")
 
 
+def _trainer_count(seeds: int) -> int:
+    """Processes to train ``seeds`` seeds: one per BLAS thread team the CPUs hold, so one when unpinned."""
+    cpus = len(os.sched_getaffinity(0))
+    values = (os.environ.get(v, "").strip() for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    blas_threads = next((int(v) for v in values if v.isdigit() and int(v) > 0), cpus)  # in OpenBLAS's order
+    return max(1, min(seeds, cpus // blas_threads))
+
+
+def _train(share: list, inputs: tuple, caches: dict):
+    """Train ``share``'s (plan index, config) runs; yield (index, elapsed, RunResult or exception) up to a fault."""
+    for index, cfg in share:
+        started = time.perf_counter()
+        try:
+            outcome = run_experiment(cfg, *inputs, caches[cfg.seed])
+        except Exception as exc:
+            outcome = exc
+        yield index, time.perf_counter() - started, outcome
+        if isinstance(outcome, Exception):
+            return
+
+
+def _send(queue, arrivals) -> None:
+    for arrival in arrivals:
+        queue.put(arrival)  # the queue's feeder thread writes it, so a helper never waits for the parent
+
+
+def _receive(queue, helper) -> tuple:
+    """The next arrival from any helper; ``helper`` gone without sending the awaited run is an error."""
+    while (gone := helper.exitcode) is None or not queue.empty():  # what a gone helper sent is in the pipe
+        with suppress(queues.Empty):
+            return queue.get(timeout=0.1)
+    raise RuntimeError(f"seed helper exited with code {gone} before sending its run")
+
+
 def _join(writer: multiprocessing.Process | None) -> None:
     if writer is not None:
         writer.join()
@@ -194,18 +230,35 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
     if config.noise.exceeds_tested_range:
         print(f"warning: symmetric noise rate {config.noise.epsilon} is above {SYMMETRY_WARN_ABOVE}, "
               "outside the tested range", file=sys.stderr)
-    cache = EpochCache([cfg for _, cfg in plan], train_clean, test, config.noise)
-
+    inputs = (train_clean, test, config.noise)
+    caches = {seed: EpochCache([c for _, c in plan if c.seed == seed], *inputs) for seed in config.seeds}
+    width = _trainer_count(len(config.seeds))
+    trainer = {seed: i % width for i, seed in enumerate(config.seeds)}  # trainer 0 is this process
+    shares = [[(i, c) for i, (_, c) in enumerate(plan) if trainer[c.seed] == t] for t in range(width)]
+    own = _train(shares[0], inputs, caches)
+    ctx = multiprocessing.get_context("fork")  # helpers inherit the data, plan and caches unpickled
+    queue = ctx.Queue() if width > 1 else None
+    helpers: list = []
     runs = []
     log_lines = []
+    arrived: dict[int, tuple[float, RunResult | Exception]] = {}
     # one background writer formats the dumps while later runs train
     writer = None
     unwritten: list[tuple[str, int, RunResult]] = []
     try:
-        for run_id, cfg in plan:
-            started = time.perf_counter()
-            result = run_experiment(cfg, train_clean, test, config.noise, cache)
-            elapsed = time.perf_counter() - started
+        for share in shares[1:]:
+            helper = ctx.Process(target=_send, args=(queue, _train(share, inputs, caches)))
+            helper.start()
+            helpers.append(helper)
+        for index, (run_id, cfg) in enumerate(plan):
+            while index not in arrived:  # train this process's next run, or take a run a helper sent
+                helper = helpers[trainer[cfg.seed] - 1] if trainer[cfg.seed] else None
+                arrival = next(own, None) if helper is None or queue.empty() else None
+                i, elapsed, outcome = arrival or _receive(queue, helper)
+                arrived[i] = elapsed, outcome
+            elapsed, result = arrived.pop(index)
+            if isinstance(result, Exception):  # the first failing run in plan order ends the plan
+                raise result
             stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
             counts = f"seed={cfg.seed} epochs={cfg.epochs} replayed={result.replayed}"
             log_lines.append(f"{stamp} {run_id} {counts} {elapsed:.2f}s")
@@ -218,6 +271,9 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
                     writer.start()
                     unwritten = []
     finally:
+        for helper in helpers:  # terminate first: a helper may block on a pipe no one reads now
+            helper.terminate()
+            helper.join()
         # a failing run still leaves the files of the runs that finished before it
         try:
             if runs:

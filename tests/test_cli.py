@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from noisylab.cli import (
     EXIT_NUMERICAL_FAULT,
     EXIT_OK,
     EXIT_USAGE,
+    _trainer_count,
     main,
 )
 from noisylab.config import OUTPUT_DIR_ENV
@@ -57,15 +59,13 @@ def read_summary(out_dir):
 DUMPS = ["--set", "output.dump_penalty_labels=true"]
 
 
-def fault_on_call(n):
-    """A ``run_experiment`` that raises a numerical fault on its n-th call."""
-    calls = []
+def fault_on_seed(n):
+    """A ``run_experiment`` that raises a numerical fault in the run of seed n, whichever process trains it."""
 
-    def run(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == n:
+    def run(config, *args, **kwargs):
+        if config.seed == n:
             raise NumericalFault("non-finite parameters after the update")
-        return run_experiment(*args, **kwargs)
+        return run_experiment(config, *args, **kwargs)
 
     return run
 
@@ -742,7 +742,7 @@ class TestConfigAndDataBoundaries:
     def test_fault_in_a_later_run_keeps_finished_runs(
         self, config_path, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_call(2))
+        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_seed(2))
         out = tmp_path / "o"
         args = ["run", "--config", config_path, "--out", str(out), "--seeds", "1,2"]
         assert main(args) == EXIT_NUMERICAL_FAULT
@@ -821,7 +821,7 @@ class TestDumpWriter:
             assert (out / name).is_file()
 
     def test_fault_in_a_later_run_keeps_the_finished_dumps(self, config_path, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_call(2))
+        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_seed(2))
         out = tmp_path / "o"
         args = ["run", "--config", config_path, "--out", str(out), "--seeds", "1,2", *DUMPS]
         assert main(args) == EXIT_NUMERICAL_FAULT
@@ -840,7 +840,7 @@ class TestDumpWriter:
             writers.append(BusyWriter(*args, **kwargs))
             return writers[-1]
 
-        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_call(3))
+        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_seed(3))
         monkeypatch.setattr("noisylab.cli.multiprocessing.Process", busy_writer)
         out = tmp_path / "o"
         args = ["run", "--config", config_path, "--out", str(out), "--seeds", "1,2,3", *DUMPS]
@@ -849,3 +849,133 @@ class TestDumpWriter:
         assert len(writers) == 1  # seed 2 finished while the seed-1 writer still ran
         expected = [f"all-stacked-lam1.0-seed{seed}-epoch{e:03d}.csv" for seed in (1, 2) for e in (0, 1)]
         assert sorted(p.name for p in (out / "penalty_labels").iterdir()) == expected
+
+
+def pin_trainers(monkeypatch, cpus):
+    """One BLAS thread on ``cpus`` CPUs: a command of that many seeds or more trains in ``cpus`` processes."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr("noisylab.cli.os.sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def record_trainers(record_dir):
+    """A ``run_experiment`` that leaves one file per process that trains a run."""
+
+    def run(*args, **kwargs):
+        (record_dir / str(os.getpid())).touch()
+        return run_experiment(*args, **kwargs)
+
+    return run
+
+
+def wait_for(path):
+    deadline = time.monotonic() + 60
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path} never appeared"
+        time.sleep(0.01)
+
+
+class TestParallelSeeds:
+    """Forked helpers train every width-th seed group and the command files the runs in plan order."""
+
+    QUICK = str(Path(__file__).resolve().parents[1] / "configs" / "quick.yaml")
+
+    def test_helpers_train_and_change_no_output_byte(self, tmp_path, monkeypatch):
+        outputs = {}
+        for cpus in (2, 1):
+            pin_trainers(monkeypatch, cpus)
+            trainers = tmp_path / f"trainers-{cpus}"
+            trainers.mkdir()
+            monkeypatch.setattr("noisylab.cli.run_experiment", record_trainers(trainers))
+            out = tmp_path / f"out-{cpus}"
+            args = ["compare", "--config", self.QUICK, "--out", str(out), *DUMPS, "--seeds", "1,2,3"]
+            assert main([*args, "--variants", "ol,all", "--strategies", "stacked,repredict"]) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            outputs[cpus] = {
+                p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file() and p.name != "run.log"
+            }
+            # a run.log line reads: stamp run_id seed= epochs= replayed= elapsed
+            outputs[cpus]["run.log"] = [line.split()[1:-1] for line in (out / "run.log").read_text().splitlines()]
+            trained_in = {p.name for p in trainers.iterdir()}
+            assert len(trained_in) == cpus
+            assert str(os.getpid()) in trained_in
+        assert len(outputs[1]) == 3 + 4 * 3 * 10  # metrics, summary, run.log and 10 dumps per run
+        assert outputs[2] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "env, cpus, seeds, trainers",
+        [
+            ({}, 2, 3, 1),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 4, 3, 2),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, 1),
+            ({"OPENBLAS_NUM_THREADS": "8"}, 2, 3, 1),
+            ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 4, 3, 2),
+            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 3, 2),
+        ],
+    )
+    def test_one_trainer_per_blas_thread_team_and_seed(self, monkeypatch, env, cpus, seeds, trainers):
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr("noisylab.cli.os.sched_getaffinity", lambda pid: set(range(cpus)))
+        assert _trainer_count(seeds) == trainers
+
+    def test_fault_in_the_first_run_ends_the_plan_though_a_helper_finished(
+        self, config_path, tmp_path, capsys, monkeypatch
+    ):
+        pin_trainers(monkeypatch, 2)
+        finished = tmp_path / "seed-2-finished"
+
+        def run(config, *args, **kwargs):
+            if config.seed == 1:
+                wait_for(finished)
+                raise NumericalFault("non-finite parameters after the update")
+            result = run_experiment(config, *args, **kwargs)
+            finished.touch()
+            return result
+
+        monkeypatch.setattr("noisylab.cli.run_experiment", run)
+        out = tmp_path / "o"
+        args = ["run", "--config", config_path, "--out", str(out), "--seeds", "1,2", *DUMPS]
+        assert main(args) == EXIT_NUMERICAL_FAULT
+        assert capsys.readouterr().err == "error[NUMERICAL_FAULT]: non-finite parameters after the update\n"
+        assert finished.exists()
+        assert not out.exists()
+
+    def test_fault_in_a_helper_run_keeps_the_runs_before_it(self, config_path, tmp_path, capsys, monkeypatch):
+        pin_trainers(monkeypatch, 2)
+        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_seed(2))
+        out = tmp_path / "o"
+        args = ["run", "--config", config_path, "--out", str(out), "--seeds", "1,2,3", *DUMPS]
+        assert main(args) == EXIT_NUMERICAL_FAULT
+        assert capsys.readouterr().err == "error[NUMERICAL_FAULT]: non-finite parameters after the update\n"
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["1", "1"]
+        assert [r["seed"] for r in read_summary(out)["runs"]] == [1]
+        assert [line.split()[2] for line in (out / "run.log").read_text().splitlines()] == ["seed=1"]
+        assert sorted(p.name for p in (out / "penalty_labels").iterdir()) == [
+            "all-stacked-lam1.0-seed1-epoch000.csv",
+            "all-stacked-lam1.0-seed1-epoch001.csv",
+        ]
+
+    def test_helper_gone_without_its_run_is_a_program_error_after_the_metrics_files(
+        self, config_path, tmp_path, monkeypatch
+    ):
+        pin_trainers(monkeypatch, 2)
+        parent_pid = os.getpid()
+
+        def run(config, *args, **kwargs):
+            if config.seed == 2:
+                assert os.getpid() != parent_pid, "seed 2 trained in the command's own process"
+                os._exit(3)
+            return run_experiment(config, *args, **kwargs)
+
+        monkeypatch.setattr("noisylab.cli.run_experiment", run)
+        out = tmp_path / "o"
+        with pytest.raises(RuntimeError, match="seed helper exited with code 3 before sending its run"):
+            main(["run", "--config", config_path, "--out", str(out), "--seeds", "1,2"])
+        assert multiprocessing.active_children() == []
+        assert [r["seed"] for r in read_summary(out)["runs"]] == [1]
+        assert (out / "metrics.csv").is_file()
+        assert len((out / "run.log").read_text().splitlines()) == 1

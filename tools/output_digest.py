@@ -7,10 +7,12 @@ Runs each command in ``COMMANDS`` against this checkout's ``src/`` with one
 BLAS thread, writing its outputs to ``OUT_DIR/<name>``, then prints
 ``sha256  path`` (path relative to OUT_DIR) for every output file except
 ``run.log``, which holds wall-clock times. The set covers every command, the
-penalty-label dumps, unsorted seed lists, runs that share epochs (a shared
-warm-up trained by a repredict run, no warm-up, all warm-up, and whole ol and
-pl runs replayed across lambdas) and the three benchmark workloads (idx784 on
-the IDX quartet that ``perfbench/idxgen.py`` writes for seed 1).
+penalty-label dumps, unsorted seed lists, a dumping multi-seed compare whose
+seeds train in parallel (on two or more CPUs a forked helper trains seed 1,
+so runs arrive out of plan order), runs that share epochs (a shared warm-up
+trained by a repredict run, no warm-up, all warm-up, and whole ol and pl runs
+replayed across lambdas) and the three benchmark workloads (idx784 on the
+IDX quartet that ``perfbench/idxgen.py`` writes for seed 1).
 
 After the hashes it prints one line ``exit N  name  'stderr'`` per command of
 ``failing_commands``, which covers exit codes 2 to 5: bad flag lists, a
@@ -55,6 +57,9 @@ def commands(inputs: Path) -> dict[str, tuple[str, ...]]:
         "quick-dumps": ("run", *QUICK, *DUMPS),
         "quick-seeds-3-1-2": ("run", *QUICK, "--seeds", "3,1,2"),
         "quick-sweep": ("sweep-lambda", *QUICK, "--lambdas", "0,0.5,1,2", "--seeds", "2,3,1"),
+        "quick-compare-seeds-3-1-2": (
+            "compare", *QUICK, "--variants", "ol,all", "--strategies", "stacked,repredict", "--seeds", "3,1,2", *DUMPS
+        ),
         "quick-compare-sl": ("compare", *QUICK, *ALL_COMBOS, "--set", "train.loss=sl", *DUMPS),
         # runs that share epochs: a repredict run trains the shared warm-up, no epoch is
         # shared before selection, every epoch is warm-up, whole ol and pl runs replay across lambdas
