@@ -24,6 +24,7 @@ import os
 import queue as queues
 import sys
 import time
+import traceback
 from contextlib import suppress
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -42,7 +43,7 @@ from .config import (
     load_raw_config,
     make_datasets,
 )
-from .metrics import summarize_runs, write_metrics_csv, write_summary_json
+from .metrics import summarize_runs, write_metrics_csv, write_penalty_history, write_summary_json
 from .network import NumericalFault
 from .noise import SYMMETRY_WARN_ABOVE, check_class_count
 from .trainer import (
@@ -164,14 +165,11 @@ def _plan(args: argparse.Namespace, config: ExperimentConfig) -> list[tuple[str,
     return plan
 
 
-def _dump_penalty_labels(out_dir: Path, finished: list[tuple[str, int, RunResult]]) -> None:
-    sub = out_dir / "penalty_labels"
-    sub.mkdir(parents=True, exist_ok=True)
-    for run_id, seed, result in finished:
-        for estimate in result.penalty_history:
-            rows = "\n".join(",".join(map(repr, row)) for row in estimate.labels.tolist())
-            path = sub / f"{run_id}-seed{seed}-epoch{estimate.epoch_of_estimate:03d}.csv"
-            path.write_text(rows + "\n", encoding="utf-8", newline="\n")
+def _dump_penalty_labels(out_dir: Path, run_id: str, seed: int, result: RunResult) -> None:
+    """Write the run's penalty history as one ``.npy``; row e is the estimate made at the end of epoch e."""
+    (out_dir / "penalty_labels").mkdir(parents=True, exist_ok=True)
+    path = out_dir / "penalty_labels" / f"{run_id}-seed{seed}.npy"
+    write_penalty_history(path, [estimate.labels for estimate in result.penalty_history])
 
 
 def _trainer_count(seeds: int) -> int:
@@ -195,24 +193,26 @@ def _train(share: list, inputs: tuple, caches: dict):
             return
 
 
+class HelperTraceback(Exception):
+    """The traceback text of an exception raised in a seed helper, chained on as its cause."""
+
+
 def _send(queue, arrivals) -> None:
-    for arrival in arrivals:
-        queue.put(arrival)  # the queue's feeder thread writes it, so a helper never waits for the parent
+    for index, elapsed, outcome in arrivals:
+        # pickling drops the traceback, so the helper sends its text beside the exception
+        text = "".join(traceback.format_exception(outcome)) if isinstance(outcome, Exception) else None
+        queue.put((index, elapsed, outcome, text))  # the queue's feeder thread writes it, so a helper never waits
 
 
 def _receive(queue, helper) -> tuple:
     """The next arrival from any helper; ``helper`` gone without sending the awaited run is an error."""
     while (gone := helper.exitcode) is None or not queue.empty():  # what a gone helper sent is in the pipe
         with suppress(queues.Empty):
-            return queue.get(timeout=0.1)
+            index, elapsed, outcome, text = queue.get(timeout=0.1)
+            if text is not None:
+                outcome.__cause__ = HelperTraceback(text)
+            return index, elapsed, outcome
     raise RuntimeError(f"seed helper exited with code {gone} before sending its run")
-
-
-def _join(writer: multiprocessing.Process | None) -> None:
-    if writer is not None:
-        writer.join()
-        if writer.exitcode != 0:
-            raise RuntimeError(f"penalty-label writer exited with code {writer.exitcode}")
 
 
 def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
@@ -242,9 +242,6 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
     runs = []
     log_lines = []
     arrived: dict[int, tuple[float, RunResult | Exception]] = {}
-    # one background writer formats the dumps while later runs train
-    writer = None
-    unwritten: list[tuple[str, int, RunResult]] = []
     try:
         for share in shares[1:]:
             helper = ctx.Process(target=_send, args=(queue, _train(share, inputs, caches)))
@@ -264,29 +261,19 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
             log_lines.append(f"{stamp} {run_id} {counts} {elapsed:.2f}s")
             runs.append((run_id, list(result.records)))
             if config.output.dump_penalty_labels:
-                unwritten.append((run_id, cfg.seed, result))
-                if writer is None or not writer.is_alive():
-                    _join(writer)
-                    writer = multiprocessing.Process(target=_dump_penalty_labels, args=(out_dir, unwritten))
-                    writer.start()
-                    unwritten = []
+                _dump_penalty_labels(out_dir, run_id, cfg.seed, result)
     finally:
         for helper in helpers:  # terminate first: a helper may block on a pipe no one reads now
             helper.terminate()
             helper.join()
         # a failing run still leaves the files of the runs that finished before it
-        try:
-            if runs:
-                out_dir.mkdir(parents=True, exist_ok=True)
-                if "csv" in config.output.formats:
-                    write_metrics_csv(out_dir / "metrics.csv", runs)
-                if "json" in config.output.formats:
-                    write_summary_json(out_dir / "summary.json", summarize_runs(runs))
-                (out_dir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8", newline="\n")
-        finally:
-            _join(writer)
-            if unwritten:
-                _dump_penalty_labels(out_dir, unwritten)
+        if runs:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            if "csv" in config.output.formats:
+                write_metrics_csv(out_dir / "metrics.csv", runs)
+            if "json" in config.output.formats:
+                write_summary_json(out_dir / "summary.json", summarize_runs(runs))
+            (out_dir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8", newline="\n")
     return out_dir
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, overrides, exit codes, determinism."""
 
+import io
 import json
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noisylab.cli import (
@@ -57,6 +59,7 @@ def read_summary(out_dir):
 
 
 DUMPS = ["--set", "output.dump_penalty_labels=true"]
+QUICK = str(Path(__file__).resolve().parents[1] / "configs" / "quick.yaml")
 
 
 def fault_on_seed(n):
@@ -143,31 +146,42 @@ class TestRunCommand:
         assert (out / "summary.json").exists()
         assert (out / "run.log").exists()
 
-    def test_penalty_label_dump(self, config_path, tmp_path):
+    @pytest.mark.parametrize(
+        "command, config, run_ids, shape",
+        [
+            (["run"], None, ["all-stacked-lam1.0"], (2, 3, 3)),
+            # ol-repredict replays ol-stacked whole
+            (
+                ["compare", "--variants", "ol,all", "--strategies", "stacked,repredict"],
+                QUICK,
+                ["ol-stacked", "ol-repredict", "all-stacked", "all-repredict"],
+                (10, 3, 3),
+            ),
+        ],
+        ids=["run", "compare-with-a-replayed-run"],
+    )
+    def test_penalty_label_dump(self, config_path, tmp_path, monkeypatch, command, config, run_ids, shape):
+        results = []  # one seed trains in this process, so the runs come in plan order
+
+        def recording_run(*args, **kwargs):
+            results.append(run_experiment(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr("noisylab.cli.run_experiment", recording_run)
         out = tmp_path / "out"
-        main(
-            [
-                "run",
-                "--config",
-                config_path,
-                "--out",
-                str(out),
-                "--set",
-                "output.dump_penalty_labels=true",
-            ]
-        )
-        dumped = sorted(p.name for p in (out / "penalty_labels").iterdir())
-        assert dumped == [
-            "all-stacked-lam1.0-seed1-epoch000.csv",
-            "all-stacked-lam1.0-seed1-epoch001.csv",
-        ]
-        rows = (out / "penalty_labels" / dumped[0]).read_text().splitlines()
-        assert len(rows) == 3
-        for i, row in enumerate(rows):
-            values = [float(v) for v in row.split(",")]
-            assert len(values) == 3
-            assert values[i] == 0.0
-            assert sum(values) == pytest.approx(1.0)
+        assert main([*command, "--config", config or config_path, "--out", str(out), *DUMPS]) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        names = [f"{run_id}-seed1.npy" for run_id in run_ids]
+        assert sorted(p.name for p in (out / "penalty_labels").iterdir()) == sorted(names)
+        assert len(results) == len(names)
+        for name, result in zip(names, results):
+            history = np.stack([estimate.labels for estimate in result.penalty_history])
+            saved = io.BytesIO()
+            np.save(saved, history)
+            path = out / "penalty_labels" / name
+            assert history.shape == shape
+            assert np.array_equal(np.load(path), history)
+            assert path.read_bytes() == saved.getvalue()
 
 
 class TestOutputDirPrecedence:
@@ -767,56 +781,14 @@ class TestConfigAndDataBoundaries:
             main(["run", "--config", config_path, "--out", str(tmp_path / "o")])
 
 
-class BusyWriter:
-    """A real writer process that reports itself alive until it is joined."""
+class TestDumps:
+    """Each filed run's penalty history is written at once, so the dumps of the runs before a fault survive it."""
 
-    def __init__(self, *args, **kwargs):
-        self.process = multiprocessing.get_context().Process(*args, **kwargs)  # not the patched name
-
-    def start(self):
-        self.process.start()
-
-    def is_alive(self):
-        return True
-
-    def join(self):
-        self.process.join()
-
-    @property
-    def exitcode(self):
-        return self.process.exitcode
-
-
-class TestDumpWriter:
-    """One background process writes the penalty-label dumps while later runs train."""
-
-    def test_at_most_one_writer_is_alive_and_none_outlives_the_command(self, tmp_path, monkeypatch):
-        real_process = multiprocessing.Process
-        writers = []
-
-        def recording_process(*args, **kwargs):
-            assert not any(w.is_alive() for w in writers)
-            writers.append(real_process(*args, **kwargs))
-            return writers[-1]
-
-        monkeypatch.setattr("noisylab.cli.multiprocessing.Process", recording_process)
-        quick = Path(__file__).resolve().parents[1] / "configs" / "quick.yaml"
+    def test_dump_write_failure_is_a_program_error_after_the_metrics_files(self, config_path, tmp_path):
         out = tmp_path / "o"
-        # ol-repredict replays ol-stacked whole, so it finishes while a writer may still be busy
-        args = ["compare", "--config", str(quick), "--out", str(out), *DUMPS]
-        assert main([*args, "--variants", "ol,all", "--strategies", "stacked,repredict"]) == EXIT_OK
-        assert multiprocessing.active_children() == []
-        assert writers and all(w.exitcode == 0 for w in writers)
-        run_ids = ("ol-stacked", "ol-repredict", "all-stacked", "all-repredict")
-        expected = [f"{r}-seed1-epoch{e:03d}.csv" for r in run_ids for e in range(10)]
-        assert sorted(p.name for p in (out / "penalty_labels").iterdir()) == sorted(expected)
-
-    def test_writer_failure_is_a_program_error_after_the_metrics_files(self, config_path, tmp_path):
-        out = tmp_path / "o"
-        (out / "penalty_labels" / "all-stacked-lam1.0-seed1-epoch000.csv").mkdir(parents=True)
-        with pytest.raises(RuntimeError, match="penalty-label writer exited with code 1"):
+        (out / "penalty_labels" / "all-stacked-lam1.0-seed1.npy").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
             main(["run", "--config", config_path, "--out", str(out), *DUMPS])
-        assert multiprocessing.active_children() == []
         for name in ("metrics.csv", "summary.json", "run.log"):
             assert (out / name).is_file()
 
@@ -826,29 +798,7 @@ class TestDumpWriter:
         args = ["run", "--config", config_path, "--out", str(out), "--seeds", "1,2", *DUMPS]
         assert main(args) == EXIT_NUMERICAL_FAULT
         capsys.readouterr()
-        assert sorted(p.name for p in (out / "penalty_labels").iterdir()) == [
-            "all-stacked-lam1.0-seed1-epoch000.csv",
-            "all-stacked-lam1.0-seed1-epoch001.csv",
-        ]
-
-    def test_runs_finished_while_the_writer_is_busy_are_written_by_the_command(
-        self, config_path, tmp_path, capsys, monkeypatch
-    ):
-        writers = []
-
-        def busy_writer(*args, **kwargs):
-            writers.append(BusyWriter(*args, **kwargs))
-            return writers[-1]
-
-        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_seed(3))
-        monkeypatch.setattr("noisylab.cli.multiprocessing.Process", busy_writer)
-        out = tmp_path / "o"
-        args = ["run", "--config", config_path, "--out", str(out), "--seeds", "1,2,3", *DUMPS]
-        assert main(args) == EXIT_NUMERICAL_FAULT
-        capsys.readouterr()
-        assert len(writers) == 1  # seed 2 finished while the seed-1 writer still ran
-        expected = [f"all-stacked-lam1.0-seed{seed}-epoch{e:03d}.csv" for seed in (1, 2) for e in (0, 1)]
-        assert sorted(p.name for p in (out / "penalty_labels").iterdir()) == expected
+        assert [p.name for p in (out / "penalty_labels").iterdir()] == ["all-stacked-lam1.0-seed1.npy"]
 
 
 def pin_trainers(monkeypatch, cpus):
@@ -877,8 +827,6 @@ def wait_for(path):
 class TestParallelSeeds:
     """Forked helpers train every width-th seed group and the command files the runs in plan order."""
 
-    QUICK = str(Path(__file__).resolve().parents[1] / "configs" / "quick.yaml")
-
     def test_helpers_train_and_change_no_output_byte(self, tmp_path, monkeypatch):
         outputs = {}
         for cpus in (2, 1):
@@ -887,7 +835,7 @@ class TestParallelSeeds:
             trainers.mkdir()
             monkeypatch.setattr("noisylab.cli.run_experiment", record_trainers(trainers))
             out = tmp_path / f"out-{cpus}"
-            args = ["compare", "--config", self.QUICK, "--out", str(out), *DUMPS, "--seeds", "1,2,3"]
+            args = ["compare", "--config", QUICK, "--out", str(out), *DUMPS, "--seeds", "1,2,3"]
             assert main([*args, "--variants", "ol,all", "--strategies", "stacked,repredict"]) == EXIT_OK
             assert multiprocessing.active_children() == []
             outputs[cpus] = {
@@ -898,7 +846,7 @@ class TestParallelSeeds:
             trained_in = {p.name for p in trainers.iterdir()}
             assert len(trained_in) == cpus
             assert str(os.getpid()) in trained_in
-        assert len(outputs[1]) == 3 + 4 * 3 * 10  # metrics, summary, run.log and 10 dumps per run
+        assert len(outputs[1]) == 3 + 4 * 3  # metrics, summary, run.log and one dump per run
         assert outputs[2] == outputs[1]
 
     @pytest.mark.parametrize(
@@ -954,10 +902,21 @@ class TestParallelSeeds:
         assert [row.split(",")[1] for row in rows] == ["1", "1"]
         assert [r["seed"] for r in read_summary(out)["runs"]] == [1]
         assert [line.split()[2] for line in (out / "run.log").read_text().splitlines()] == ["seed=1"]
-        assert sorted(p.name for p in (out / "penalty_labels").iterdir()) == [
-            "all-stacked-lam1.0-seed1-epoch000.csv",
-            "all-stacked-lam1.0-seed1-epoch001.csv",
-        ]
+        assert [p.name for p in (out / "penalty_labels").iterdir()] == ["all-stacked-lam1.0-seed1.npy"]
+
+    def test_program_error_in_a_helper_run_keeps_the_helper_traceback(self, config_path, tmp_path, monkeypatch):
+        pin_trainers(monkeypatch, 2)
+
+        def broken_in_seed_2(config, *args, **kwargs):
+            if config.seed == 2:
+                raise ValueError("internal invariant broken")
+            return run_experiment(config, *args, **kwargs)
+
+        monkeypatch.setattr("noisylab.cli.run_experiment", broken_in_seed_2)
+        with pytest.raises(ValueError, match="internal invariant broken") as raised:
+            main(["run", "--config", config_path, "--out", str(tmp_path / "o"), "--seeds", "1,2"])
+        assert multiprocessing.active_children() == []
+        assert "in broken_in_seed_2" in str(raised.value.__cause__)
 
     def test_helper_gone_without_its_run_is_a_program_error_after_the_metrics_files(
         self, config_path, tmp_path, monkeypatch
