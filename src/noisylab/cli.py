@@ -47,7 +47,7 @@ from .metrics import summarize_runs, write_metrics_csv, write_penalty_history, w
 from .network import NumericalFault
 from .noise import SYMMETRY_WARN_ABOVE, check_class_count
 from .trainer import (
-    CriteriaConfig, EpochCache, PenaltyUpdate, RunResult, TrainConfig, Variant, run_experiment
+    CriteriaConfig, EpochCache, PenaltyUpdate, RunResult, TrainConfig, Variant, deal, run_experiment
 )
 
 EXIT_OK = 0
@@ -172,20 +172,21 @@ def _dump_penalty_labels(out_dir: Path, run_id: str, seed: int, result: RunResul
     write_penalty_history(path, [estimate.labels for estimate in result.penalty_history])
 
 
-def _trainer_count(seeds: int) -> int:
-    """Processes to train ``seeds`` seeds: one per BLAS thread team the CPUs hold, so one when unpinned."""
+def _trainer_count(runs: int) -> int:
+    """Processes to train ``runs`` runs: one per BLAS thread team the CPUs hold, so one when unpinned."""
     cpus = len(os.sched_getaffinity(0))
     values = (os.environ.get(v, "").strip() for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
     blas_threads = next((int(v) for v in values if v.isdigit() and int(v) > 0), cpus)  # in OpenBLAS's order
-    return max(1, min(seeds, cpus // blas_threads))
+    return max(1, min(runs, cpus // blas_threads))
 
 
-def _train(share: list, inputs: tuple, caches: dict):
-    """Train ``share``'s (plan index, config) runs; yield (index, elapsed, RunResult or exception) up to a fault."""
-    for index, cfg in share:
+def _train(share: list[int], plan: list, inputs: tuple):
+    """Train ``share``'s plan indices through their own EpochCache; yield (index, elapsed, outcome) up to a fault."""
+    cache = EpochCache([plan[index][1] for index in share], *inputs)  # made in the process that trains them
+    for index in share:
         started = time.perf_counter()
         try:
-            outcome = run_experiment(cfg, *inputs, caches[cfg.seed])
+            outcome = run_experiment(plan[index][1], *inputs, cache)
         except Exception as exc:
             outcome = exc
         yield index, time.perf_counter() - started, outcome
@@ -194,7 +195,7 @@ def _train(share: list, inputs: tuple, caches: dict):
 
 
 class HelperTraceback(Exception):
-    """The traceback text of an exception raised in a seed helper, chained on as its cause."""
+    """The traceback text of an exception raised in a helper, chained on as its cause."""
 
 
 def _send(queue, arrivals) -> None:
@@ -231,25 +232,22 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
         print(f"warning: symmetric noise rate {config.noise.epsilon} is above {SYMMETRY_WARN_ABOVE}, "
               "outside the tested range", file=sys.stderr)
     inputs = (train_clean, test, config.noise)
-    caches = {seed: EpochCache([c for _, c in plan if c.seed == seed], *inputs) for seed in config.seeds}
-    width = _trainer_count(len(config.seeds))
-    trainer = {seed: i % width for i, seed in enumerate(config.seeds)}  # trainer 0 is this process
-    shares = [[(i, c) for i, (_, c) in enumerate(plan) if trainer[c.seed] == t] for t in range(width)]
-    own = _train(shares[0], inputs, caches)
-    ctx = multiprocessing.get_context("fork")  # helpers inherit the data, plan and caches unpickled
-    queue = ctx.Queue() if width > 1 else None
+    shares = deal([cfg for _, cfg in plan], _trainer_count(len(plan)))
+    own = _train(shares[0], plan, inputs)  # trainer 0 is this process
+    ctx = multiprocessing.get_context("fork")  # helpers inherit the data and plan unpickled
+    queue = ctx.Queue() if len(shares) > 1 else None
     helpers: list = []
     runs = []
     log_lines = []
     arrived: dict[int, tuple[float, RunResult | Exception]] = {}
     try:
         for share in shares[1:]:
-            helper = ctx.Process(target=_send, args=(queue, _train(share, inputs, caches)))
+            helper = ctx.Process(target=_send, args=(queue, _train(share, plan, inputs)))
             helper.start()
             helpers.append(helper)
         for index, (run_id, cfg) in enumerate(plan):
             while index not in arrived:  # train this process's next run, or take a run a helper sent
-                helper = helpers[trainer[cfg.seed] - 1] if trainer[cfg.seed] else None
+                helper = next((h for h, share in zip(helpers, shares[1:]) if index in share), None)
                 arrival = next(own, None) if helper is None or queue.empty() else None
                 i, elapsed, outcome = arrival or _receive(queue, helper)
                 arrived[i] = elapsed, outcome

@@ -285,7 +285,7 @@ def epoch_key(config: TrainConfig, epoch: int) -> tuple[TrainConfig, int]:
 
 
 class EpochCache:
-    """The epochs that the planned runs of one command share, each trained by the first to reach it."""
+    """The epochs that the planned runs of one trainer share, each trained by the first to reach it."""
 
     def __init__(self, plan: list[TrainConfig], train: LabeledDataset, test: LabeledDataset, spec: NoiseSpec):
         self.inputs = (train, test, spec)
@@ -293,6 +293,28 @@ class EpochCache:
         self.users = Counter(keys)  # planned runs per epoch key and update strategy
         self.readers = Counter(key for key, _ in keys)  # planned runs yet to reach each epoch key
         self.found: dict = {}  # key -> the stats, test error, estimates and weights its epoch left
+
+
+def deal(plan: list[TrainConfig], teams: int) -> list[list[int]]:
+    """Plan indices per trainer, in plan order, for at most ``teams`` trainers and one per chain.
+
+    A chain is the runs of one seed whose every epoch key is the same, which one EpochCache trains once. Seeds
+    are dealt whole if at least as many as the trainers, else chains, costliest first to the least-loaded trainer.
+    """
+    chain = [epoch_key(c, c.epochs - 1) for c in plan]
+    width = min(teams, len(set(chain)))
+    key = chain if len({c.seed for c in plan}) < width else [c.seed for c in plan]
+    units = [[i for i, k in enumerate(key) if k == unit] for unit in dict.fromkeys(key)]
+
+    def cost(unit: list[int]) -> int:  # trained epochs, plus one for each that runs a repredict pass
+        runs = [(epoch_key(plan[i], e), plan[i].penalty_update) for i in unit for e in range(plan[i].epochs)]
+        return len({k for k, _ in runs}) + len({k for k, update in runs if update is PenaltyUpdate.REPREDICT})
+
+    shares, loads = [[] for _ in range(width)], [0] * width
+    for unit in sorted(units, key=cost, reverse=True):  # a stable sort: equal units keep plan order
+        shares[least := loads.index(min(loads))] += unit  # ties go to the lower trainer
+        loads[least] += cost(unit)
+    return [sorted(share) for share in shares]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises NumericalFault instead

@@ -161,7 +161,8 @@ class TestRunCommand:
         ids=["run", "compare-with-a-replayed-run"],
     )
     def test_penalty_label_dump(self, config_path, tmp_path, monkeypatch, command, config, run_ids, shape):
-        results = []  # one seed trains in this process, so the runs come in plan order
+        pin_trainers(monkeypatch, 1)
+        results = []  # one trainer: this process trains every run, in plan order
 
         def recording_run(*args, **kwargs):
             results.append(run_experiment(*args, **kwargs))
@@ -249,9 +250,10 @@ class TestSweepAndCompare:
         ids = sorted(g["run_id"] for g in read_summary(out)["groups"])
         assert ids == ["all-repredict", "all-stacked", "ol-repredict", "ol-stacked"]
 
-    def test_run_log_counts_the_replayed_epochs(self, config_path, tmp_path):
+    def test_run_log_counts_the_replayed_epochs(self, config_path, tmp_path, monkeypatch):
         # 2 epochs, 1 of warm-up: every run shares epoch 0, and ol, which reads
         # no penalty labels, trains epoch 1 alike under both strategies
+        pin_trainers(monkeypatch, 1)  # a helper counts only what it replayed itself
         out = tmp_path / "out"
         args = ["compare", "--config", config_path, "--out", str(out), "--variants", "ol,all"]
         assert main([*args, "--strategies", "stacked,repredict"]) == EXIT_OK
@@ -825,7 +827,7 @@ def wait_for(path):
 
 
 class TestParallelSeeds:
-    """Forked helpers train every width-th seed group and the command files the runs in plan order."""
+    """Forked helpers train the seeds, or a one-seed command's chains, dealt to them; runs are filed in plan order."""
 
     def test_helpers_train_and_change_no_output_byte(self, tmp_path, monkeypatch):
         outputs = {}
@@ -848,6 +850,31 @@ class TestParallelSeeds:
             assert str(os.getpid()) in trained_in
         assert len(outputs[1]) == 3 + 4 * 3  # metrics, summary, run.log and one dump per run
         assert outputs[2] == outputs[1]
+
+    def test_a_split_seed_trains_in_two_processes_and_changes_no_output_byte(self, tmp_path, monkeypatch):
+        # one seed, three chains: this process trains ol and all-stacked, a helper all-repredict
+        outputs, replayed = {}, {}
+        for cpus in (2, 1):
+            pin_trainers(monkeypatch, cpus)
+            trainers = tmp_path / f"trainers-{cpus}"
+            trainers.mkdir()
+            monkeypatch.setattr("noisylab.cli.run_experiment", record_trainers(trainers))
+            out = tmp_path / f"out-{cpus}"
+            args = ["compare", "--config", QUICK, "--out", str(out), *DUMPS]
+            assert main([*args, "--variants", "ol,all", "--strategies", "stacked,repredict"]) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            outputs[cpus] = {
+                p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file() and p.name != "run.log"
+            }
+            replayed[cpus] = [line.split()[4] for line in (out / "run.log").read_text().splitlines()]
+            assert len({p.name for p in trainers.iterdir()}) == cpus
+        assert len(outputs[1]) == 2 + 4  # metrics, summary and one dump per run
+        assert outputs[2] == outputs[1]
+        # a helper counts what it replayed itself: all-repredict trains the 3 warm-up epochs again
+        assert replayed == {
+            2: ["replayed=0", "replayed=10", "replayed=3", "replayed=0"],
+            1: ["replayed=0", "replayed=10", "replayed=3", "replayed=3"],
+        }
 
     @pytest.mark.parametrize(
         "env, cpus, seeds, trainers",
@@ -891,18 +918,43 @@ class TestParallelSeeds:
         assert finished.exists()
         assert not out.exists()
 
-    def test_fault_in_a_helper_run_keeps_the_runs_before_it(self, config_path, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "command, faulty, kept",
+        [
+            # the helper trains seed 2
+            (["run", "--seeds", "1,2,3"], lambda cfg: cfg.seed == 2, [("all-stacked-lam1.0", 1)]),
+            # one seed: the helper trains the all-repredict chain, and this process all-stacked after it
+            (
+                ["compare", "--variants", "ol,all", "--strategies", "repredict,stacked"],
+                lambda cfg: (cfg.criteria.variant, cfg.penalty_update) == ("all", "repredict"),
+                [("ol-repredict", 1), ("ol-stacked", 1)],
+            ),
+        ],
+        ids=["seeds", "chains"],
+    )
+    def test_fault_in_a_helper_run_keeps_the_runs_before_it(
+        self, config_path, tmp_path, capsys, monkeypatch, command, faulty, kept
+    ):
         pin_trainers(monkeypatch, 2)
-        monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_seed(2))
+        parent_pid = os.getpid()
+
+        def run(config, *args, **kwargs):
+            if faulty(config) and os.getpid() != parent_pid:  # a fault only where a helper trains it
+                raise NumericalFault("non-finite parameters after the update")
+            return run_experiment(config, *args, **kwargs)
+
+        monkeypatch.setattr("noisylab.cli.run_experiment", run)
         out = tmp_path / "o"
-        args = ["run", "--config", config_path, "--out", str(out), "--seeds", "1,2,3", *DUMPS]
-        assert main(args) == EXIT_NUMERICAL_FAULT
+        assert main([*command, "--config", config_path, "--out", str(out), *DUMPS]) == EXIT_NUMERICAL_FAULT
         assert capsys.readouterr().err == "error[NUMERICAL_FAULT]: non-finite parameters after the update\n"
+        assert multiprocessing.active_children() == []
         rows = (out / "metrics.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[1] for row in rows] == ["1", "1"]
-        assert [r["seed"] for r in read_summary(out)["runs"]] == [1]
-        assert [line.split()[2] for line in (out / "run.log").read_text().splitlines()] == ["seed=1"]
-        assert [p.name for p in (out / "penalty_labels").iterdir()] == ["all-stacked-lam1.0-seed1.npy"]
+        assert [row.split(",")[1] for row in rows] == [str(seed) for _, seed in kept for _ in range(2)]
+        assert [(r["run_id"], r["seed"]) for r in read_summary(out)["runs"]] == kept
+        log = [line.split()[1:3] for line in (out / "run.log").read_text().splitlines()]
+        assert log == [[run_id, f"seed={seed}"] for run_id, seed in kept]
+        dumps = sorted(p.name for p in (out / "penalty_labels").iterdir())
+        assert dumps == sorted(f"{run_id}-seed{seed}.npy" for run_id, seed in kept)
 
     def test_program_error_in_a_helper_run_keeps_the_helper_traceback(self, config_path, tmp_path, monkeypatch):
         pin_trainers(monkeypatch, 2)

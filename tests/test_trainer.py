@@ -31,6 +31,7 @@ from noisylab.trainer import (
     TrainConfig,
     Variant,
     batch_scores,
+    deal,
     epoch_key,
     init_state,
     predict_in_chunks,
@@ -617,6 +618,86 @@ class TestEpochCache:
                 run_experiment(plan[0], train, test, spec, cache)
         with pytest.raises(RuntimeError, match="epoch 1 kept no weights"):
             run_experiment(plan[1], train, test, spec, cache)
+
+
+def command_plan(variants, strategies, lams, seeds, **kwargs):
+    """The runs of a command in its plan order: every combo over every seed."""
+    return [
+        small_config(criteria=CriteriaConfig(variant, lam), penalty_update=update, seed=seed, **kwargs)
+        for variant, update, lam in product(variants, strategies, lams)
+        for seed in seeds
+    ]
+
+
+K100_SHAPED = dict(variants=["ol", "all"], strategies=["stacked", "repredict"], lams=[1.0], seeds=[1])
+
+
+class TestDeal:
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(
+        variants=st.lists(st.sampled_from(Variant), min_size=1, max_size=4, unique=True),
+        strategies=st.lists(st.sampled_from(PenaltyUpdate), min_size=1, max_size=2, unique=True),
+        lams=st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=1, max_size=2, unique=True),
+        seeds=st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True),
+        epochs=st.integers(1, 5),
+        data=st.data(),
+        teams=st.integers(1, 6),
+    )
+    def test_every_run_is_dealt_once_and_no_chain_is_split(
+        self, variants, strategies, lams, seeds, epochs, data, teams
+    ):
+        warmup = data.draw(st.integers(0, epochs), label="warmup_epochs")
+        plan = command_plan(variants, strategies, lams, seeds, epochs=epochs, warmup_epochs=warmup)
+        shares = deal(plan, teams)
+        assert 1 <= len(shares) <= teams
+        assert all(shares) and all(share == sorted(share) for share in shares)
+        assert sorted(i for share in shares for i in share) == list(range(len(plan)))
+        owner = {i: t for t, share in enumerate(shares) for i in share}
+        for i, j in product(range(len(plan)), repeat=2):
+            if epoch_key(plan[i], epochs - 1) == epoch_key(plan[j], epochs - 1):
+                assert owner[i] == owner[j]  # a chain is trained by one EpochCache
+            if plan[i].seed == plan[j].seed and {plan[i].criteria.variant, plan[j].criteria.variant} == {Variant.OL}:
+                assert owner[i] == owner[j]
+            if len(seeds) >= len(shares) and plan[i].seed == plan[j].seed:
+                assert owner[i] == owner[j]  # enough seeds to deal whole ones
+
+    def test_seeds_are_dealt_round_robin_when_they_outnumber_the_trainers(self):
+        # pair40: 3 seeds of one run; seeds 1 and 3 stay in the command's own process
+        assert deal(command_plan(["all"], ["stacked"], [1.0], [1, 2, 3]), 2) == [[0, 2], [1]]
+
+    def test_k100_compare_pairs_the_cheap_chain_with_the_ol_chain(self):
+        # ol-stacked and ol-repredict are one chain; both ol and all-repredict run a repredict pass every epoch
+        plan = command_plan(**K100_SHAPED, epochs=30, warmup_epochs=8)
+        assert deal(plan, 2) == [[0, 1, 2], [3]]
+        assert deal(plan, 3) == deal(plan, 8) == [[0, 1], [3], [2]]
+
+    def test_one_trainer_takes_the_whole_plan_in_order(self):
+        plan = command_plan(["none", "ol", "all"], ["repredict", "stacked"], [1.0], [2, 1])
+        assert deal(plan, 1) == [list(range(len(plan)))]
+
+    @pytest.mark.parametrize("teams", [2, 3])
+    def test_each_share_through_its_own_cache_keeps_nothing_for_the_others(self, tiny_blobs, teams):
+        train, test = tiny_blobs
+        spec = NoiseSpec("pair", 0.4)
+        plan = command_plan(**K100_SHAPED, epochs=5, warmup_epochs=2)
+        alone = [run_experiment(cfg, train, test, spec) for cfg in plan]
+        repredicts = Counter()
+
+        def counting_predict(net, features):
+            repredicts[owner] += features is train.features
+            return predict_in_chunks(net, features)
+
+        with mock.patch.object(trainer, "predict_in_chunks", counting_predict):
+            for share in deal(plan, teams):
+                owner = tuple(share)
+                cache = EpochCache([plan[i] for i in share], train, test, spec)
+                for i in share:
+                    assert run_experiment(plan[i], train, test, spec, cache).records == alone[i].records
+                assert cache.found == {}
+                assert set(cache.readers.values()) == {0}
+        if teams == 3:  # all-stacked alone never re-predicts the train set
+            assert repredicts[(2,)] == 0
+        assert repredicts[(3,)] == 5  # all-repredict trains its warm-up itself
 
 
 class TestDeskScaleBehavior:

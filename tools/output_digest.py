@@ -14,6 +14,15 @@ trained by a repredict run, no warm-up, all warm-up, and whole ol and pl runs
 replayed across lambdas) and the three benchmark workloads (idx784 on the
 IDX quartet that ``perfbench/idxgen.py`` writes for seed 1).
 
+On two CPUs a forked helper trains the second listed seed of every
+multi-seed command, and some chains of each one-seed compare that has several:
+the ol and all runs of ``quick-compare-sl``, ``quick-compare-warmup-0`` and
+``quick-compare-repredict-first`` (so the repredict-first warm-up is trained
+in both processes), and all-repredict in both k100 compares. Only
+``quick-dumps``, ``quick-compare-warmup-10`` (one chain, all warm-up) and
+idx784 train in one process. A run under ``taskset -c 0`` trains everything
+in one process and prints the same listing.
+
 After the hashes it prints one line ``exit N  name  'stderr'`` per command of
 ``failing_commands``, which covers exit codes 2 to 5: bad flag lists, a
 repeated list item, missing and malformed config files and overrides, a
