@@ -25,7 +25,7 @@ import queue as queues
 import sys
 import time
 import traceback
-from contextlib import suppress
+from contextlib import closing, suppress
 from dataclasses import replace
 from datetime import datetime, timezone
 from enum import EnumMeta
@@ -172,21 +172,21 @@ def _dump_penalty_labels(out_dir: Path, run_id: str, seed: int, result: RunResul
     write_penalty_history(path, [estimate.labels for estimate in result.penalty_history])
 
 
-def _trainer_count(runs: int) -> int:
-    """Processes to train ``runs`` runs: one per BLAS thread team the CPUs hold, so one when unpinned."""
+def _trainer_count() -> int:
+    """Processes to train a plan: one per BLAS thread team the CPUs hold, so one when unpinned."""
     cpus = len(os.sched_getaffinity(0))
     values = (os.environ.get(v, "").strip() for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
     blas_threads = next((int(v) for v in values if v.isdigit() and int(v) > 0), cpus)  # in OpenBLAS's order
-    return max(1, min(runs, cpus // blas_threads))
+    return max(1, cpus // blas_threads)
 
 
-def _train(share: list[int], plan: list, inputs: tuple):
+def _train(share: list[int], plan: list[TrainConfig], inputs: tuple):
     """Train ``share``'s plan indices through their own EpochCache; yield (index, elapsed, outcome) up to a fault."""
-    cache = EpochCache([plan[index][1] for index in share], *inputs)  # made in the process that trains them
+    cache = EpochCache([plan[index] for index in share], *inputs)  # made in the process that trains them
     for index in share:
         started = time.perf_counter()
         try:
-            outcome = run_experiment(plan[index][1], *inputs, cache)
+            outcome = run_experiment(plan[index], *inputs, cache)
         except Exception as exc:
             outcome = exc
         yield index, time.perf_counter() - started, outcome
@@ -213,7 +213,40 @@ def _receive(queue, helper) -> tuple:
             if text is not None:
                 outcome.__cause__ = HelperTraceback(text)
             return index, elapsed, outcome
-    raise RuntimeError(f"seed helper exited with code {gone} before sending its run")
+    raise RuntimeError(f"helper exited with code {gone} before sending its run")
+
+
+def run_plan(plan: list[TrainConfig], train, test, spec):
+    """Train ``plan`` in ``deal``'s shares, a forked helper per share past the first; yield (elapsed, result) per run.
+
+    Runs come in plan order, each equal to the run alone; the first to fail is raised. Closing joins the helpers.
+    """
+    inputs = (train, test, spec)
+    shares = deal(plan, _trainer_count())
+    own = _train(shares[0], plan, inputs)  # trainer 0 is this process
+    ctx = multiprocessing.get_context("fork")  # helpers inherit the data and plan unpickled
+    queue = ctx.Queue() if len(shares) > 1 else None
+    helpers: list = []
+    arrived: dict[int, tuple[float, RunResult | Exception]] = {}
+    try:
+        for share in shares[1:]:
+            helper = ctx.Process(target=_send, args=(queue, _train(share, plan, inputs)))
+            helper.start()
+            helpers.append(helper)
+        for index in range(len(plan)):
+            while index not in arrived:  # train this process's next run, or take a run a helper sent
+                helper = next((h for h, share in zip(helpers, shares[1:]) if index in share), None)
+                arrival = next(own, None) if helper is None or queue.empty() else None
+                i, elapsed, outcome = arrival or _receive(queue, helper)
+                arrived[i] = elapsed, outcome
+            elapsed, result = arrived.pop(index)
+            if isinstance(result, Exception):  # the first failing run in plan order ends the plan
+                raise result
+            yield elapsed, result
+    finally:
+        for helper in helpers:  # terminate first: a helper may block on a pipe no one reads now
+            helper.terminate()
+            helper.join()
 
 
 def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
@@ -231,39 +264,17 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
     if config.noise.exceeds_tested_range:
         print(f"warning: symmetric noise rate {config.noise.epsilon} is above {SYMMETRY_WARN_ABOVE}, "
               "outside the tested range", file=sys.stderr)
-    inputs = (train_clean, test, config.noise)
-    shares = deal([cfg for _, cfg in plan], _trainer_count(len(plan)))
-    own = _train(shares[0], plan, inputs)  # trainer 0 is this process
-    ctx = multiprocessing.get_context("fork")  # helpers inherit the data and plan unpickled
-    queue = ctx.Queue() if len(shares) > 1 else None
-    helpers: list = []
-    runs = []
-    log_lines = []
-    arrived: dict[int, tuple[float, RunResult | Exception]] = {}
-    try:
-        for share in shares[1:]:
-            helper = ctx.Process(target=_send, args=(queue, _train(share, plan, inputs)))
-            helper.start()
-            helpers.append(helper)
-        for index, (run_id, cfg) in enumerate(plan):
-            while index not in arrived:  # train this process's next run, or take a run a helper sent
-                helper = next((h for h, share in zip(helpers, shares[1:]) if index in share), None)
-                arrival = next(own, None) if helper is None or queue.empty() else None
-                i, elapsed, outcome = arrival or _receive(queue, helper)
-                arrived[i] = elapsed, outcome
-            elapsed, result = arrived.pop(index)
-            if isinstance(result, Exception):  # the first failing run in plan order ends the plan
-                raise result
-            stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-            counts = f"seed={cfg.seed} epochs={cfg.epochs} replayed={result.replayed}"
-            log_lines.append(f"{stamp} {run_id} {counts} {elapsed:.2f}s")
-            runs.append((run_id, list(result.records)))
-            if config.output.dump_penalty_labels:
-                _dump_penalty_labels(out_dir, run_id, cfg.seed, result)
+    runs, log_lines = [], []
+    try:  # the runner is closed as soon as filing fails, so no helper trains on while the error propagates
+        with closing(run_plan([cfg for _, cfg in plan], train_clean, test, config.noise)) as results:
+            for (run_id, cfg), (elapsed, result) in zip(plan, results):
+                stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+                counts = f"seed={cfg.seed} epochs={cfg.epochs} replayed={result.replayed}"
+                log_lines.append(f"{stamp} {run_id} {counts} {elapsed:.2f}s")
+                runs.append((run_id, list(result.records)))
+                if config.output.dump_penalty_labels:
+                    _dump_penalty_labels(out_dir, run_id, cfg.seed, result)
     finally:
-        for helper in helpers:  # terminate first: a helper may block on a pipe no one reads now
-            helper.terminate()
-            helper.join()
         # a failing run still leaves the files of the runs that finished before it
         if runs:
             out_dir.mkdir(parents=True, exist_ok=True)

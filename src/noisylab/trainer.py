@@ -302,7 +302,7 @@ def deal(plan: list[TrainConfig], teams: int) -> list[list[int]]:
     are dealt whole if at least as many as the trainers, else chains, costliest first to the least-loaded trainer.
     """
     chain = [epoch_key(c, c.epochs - 1) for c in plan]
-    width = min(teams, len(set(chain)))
+    width = max(1, min(teams, len(set(chain))))  # an empty plan gets one empty share
     key = chain if len({c.seed for c in plan}) < width else [c.seed for c in plan]
     units = [[i for i, k in enumerate(key) if k == unit] for unit in dict.fromkeys(key)]
 

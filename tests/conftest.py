@@ -3,22 +3,24 @@
 The six run batteries below are session-scoped because both the behavior
 tests and the acceptance gate read them; each is three full 100-epoch runs.
 Build wall times are recorded so the runtime criteria can see them.
+
+The suite pins one BLAS thread unless the environment already sets one, so
+that ``run_plan`` deals each battery's seeds to forked helpers on a multi-core
+machine.
 """
 
 import multiprocessing
+import os
 import time
 
 import pytest
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when noisylab first imports numpy
+
+from noisylab.cli import run_plan
 from noisylab.config import DatasetConfig, make_datasets
 from noisylab.noise import NoiseSpec
-from noisylab.trainer import (
-    CriteriaConfig,
-    PenaltyUpdate,
-    TrainConfig,
-    Variant,
-    run_experiment,
-)
+from noisylab.trainer import CriteriaConfig, PenaltyUpdate, TrainConfig, Variant
 
 ACCEPT_SEEDS = (1, 2, 3)
 
@@ -31,6 +33,12 @@ def no_child_process_outlives_its_test():
     assert multiprocessing.active_children() == []
 
 
+def pin_trainers(monkeypatch, cpus):
+    """One BLAS thread on ``cpus`` CPUs: a plan of that many seeds, or a seed's chains, trains in ``cpus`` processes."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr("noisylab.cli.os.sched_getaffinity", lambda pid: set(range(cpus)))
+
+
 @pytest.fixture(scope="session")
 def desk_data():
     return make_datasets(DatasetConfig())
@@ -39,15 +47,12 @@ def desk_data():
 def desk_runs(desk_data, name, variant, update=PenaltyUpdate.STACKED, lam=1.0, noise=("pair", 0.4)):
     train, test = desk_data
     spec = NoiseSpec(noise[0], noise[1])
+    plan = [
+        TrainConfig(criteria=CriteriaConfig(variant=variant, lam=lam), penalty_update=update, seed=seed)
+        for seed in ACCEPT_SEEDS
+    ]
     started = time.perf_counter()
-    results = []
-    for seed in ACCEPT_SEEDS:
-        cfg = TrainConfig(
-            criteria=CriteriaConfig(variant=variant, lam=lam),
-            penalty_update=update,
-            seed=seed,
-        )
-        results.append(run_experiment(cfg, train, test, spec))
+    results = [result for _, result in run_plan(plan, train, test, spec)]
     RUN_TIMES[name] = time.perf_counter() - started
     return results
 

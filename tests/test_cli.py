@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import pin_trainers
 from noisylab.cli import (
     EXIT_CONFIG_INVALID,
     EXIT_CONFIG_PARSE,
@@ -25,7 +26,7 @@ from noisylab.cli import (
 from noisylab.config import OUTPUT_DIR_ENV
 from noisylab.data import IMAGES_MAGIC, LABELS_MAGIC
 from noisylab.network import NumericalFault
-from noisylab.trainer import run_experiment
+from noisylab.trainer import TrainConfig, deal, run_experiment
 
 SMALL_CONFIG = """
 dataset:
@@ -794,6 +795,26 @@ class TestDumps:
         for name in ("metrics.csv", "summary.json", "run.log"):
             assert (out / name).is_file()
 
+    def test_dump_write_failure_stops_a_helper_still_training(self, config_path, tmp_path, monkeypatch):
+        pin_trainers(monkeypatch, 2)
+
+        def run(config, *args, **kwargs):
+            if config.seed == 2:  # its helper still trains when seed 1's dump fails
+                time.sleep(30)
+            return run_experiment(config, *args, **kwargs)
+
+        monkeypatch.setattr("noisylab.cli.run_experiment", run)
+        out = tmp_path / "o"
+        (out / "penalty_labels" / "all-stacked-lam1.0-seed1.npy").mkdir(parents=True)
+        try:
+            main(["run", "--config", config_path, "--out", str(out), "--seeds", "1,2", *DUMPS])
+        except IsADirectoryError:
+            # the traceback still holds execute's frame, so only a closed runner has stopped the helper by now
+            assert multiprocessing.active_children() == []
+        else:
+            pytest.fail("the dump write did not fail")
+        assert [r["seed"] for r in read_summary(out)["runs"]] == [1]
+
     def test_fault_in_a_later_run_keeps_the_finished_dumps(self, config_path, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("noisylab.cli.run_experiment", fault_on_seed(2))
         out = tmp_path / "o"
@@ -801,12 +822,6 @@ class TestDumps:
         assert main(args) == EXIT_NUMERICAL_FAULT
         capsys.readouterr()
         assert [p.name for p in (out / "penalty_labels").iterdir()] == ["all-stacked-lam1.0-seed1.npy"]
-
-
-def pin_trainers(monkeypatch, cpus):
-    """One BLAS thread on ``cpus`` CPUs: a command of that many seeds or more trains in ``cpus`` processes."""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr("noisylab.cli.os.sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 def record_trainers(record_dir):
@@ -894,7 +909,8 @@ class TestParallelSeeds:
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         monkeypatch.setattr("noisylab.cli.os.sched_getaffinity", lambda pid: set(range(cpus)))
-        assert _trainer_count(seeds) == trainers
+        plan = [TrainConfig(seed=seed) for seed in range(1, seeds + 1)]
+        assert len(deal(plan, _trainer_count())) == trainers
 
     def test_fault_in_the_first_run_ends_the_plan_though_a_helper_finished(
         self, config_path, tmp_path, capsys, monkeypatch
@@ -984,7 +1000,7 @@ class TestParallelSeeds:
 
         monkeypatch.setattr("noisylab.cli.run_experiment", run)
         out = tmp_path / "o"
-        with pytest.raises(RuntimeError, match="seed helper exited with code 3 before sending its run"):
+        with pytest.raises(RuntimeError, match="helper exited with code 3 before sending its run"):
             main(["run", "--config", config_path, "--out", str(out), "--seeds", "1,2"])
         assert multiprocessing.active_children() == []
         assert [r["seed"] for r in read_summary(out)["runs"]] == [1]

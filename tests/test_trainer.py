@@ -1,7 +1,9 @@
 """The training loop: selection mechanics, penalty refresh, reproducibility."""
 
 import math
+import multiprocessing
 import re
+import time
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -12,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pin_trainers
 from noisylab import trainer
+from noisylab.cli import run_plan
 from noisylab.criteria import (
     ConfidenceAccumulator,
     PenaltyLabelSet,
@@ -700,6 +704,43 @@ class TestDeal:
         assert repredicts[(3,)] == 5  # all-repredict trains its warm-up itself
 
 
+class TestRunPlan:
+    """``cli.run_plan`` as a library caller uses it, in one process and with a forked helper."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_runs_come_in_plan_order_each_equal_to_the_run_alone(self, tiny_blobs, monkeypatch, cpus):
+        pin_trainers(monkeypatch, cpus)
+        train, test = tiny_blobs
+        spec = NoiseSpec("pair", 0.4)
+        plan = command_plan(**K100_SHAPED, epochs=5, warmup_epochs=2)
+        results = [result for _, result in run_plan(plan, train, test, spec)]
+        assert len(results) == len(plan)
+        for cfg, result in zip(plan, results):
+            alone = run_experiment(cfg, train, test, spec)
+            assert result.records == alone.records
+            assert same_history(result.penalty_history, alone.penalty_history)
+
+    def test_an_empty_plan_yields_nothing(self, tiny_blobs):
+        assert list(run_plan([], *tiny_blobs, NoiseSpec("pair", 0.4))) == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_closing_after_the_first_run_leaves_no_child(self, tiny_blobs, monkeypatch, cpus):
+        pin_trainers(monkeypatch, cpus)
+
+        def run(config, *args, **kwargs):
+            if config.penalty_update is PenaltyUpdate.REPREDICT and config.criteria.variant is Variant.ALL:
+                time.sleep(30)  # all-repredict is the helper's chain: it still trains at the close
+            return run_experiment(config, *args, **kwargs)
+
+        monkeypatch.setattr("noisylab.cli.run_experiment", run)
+        train, test = tiny_blobs
+        runs = run_plan(command_plan(**K100_SHAPED, epochs=5, warmup_epochs=2), train, test, NoiseSpec("pair", 0.4))
+        next(runs)
+        assert len(multiprocessing.active_children()) == cpus - 1
+        runs.close()
+        assert multiprocessing.active_children() == []
+
+
 class TestDeskScaleBehavior:
     def test_clean_run_reaches_low_error(self, desk_data):
         # the default geometry must let a plain run essentially solve the task
@@ -713,18 +754,11 @@ class TestDeskScaleBehavior:
         # selection filters it out, so OL wins or ties on every seed
         train = make_blobs(500, 10, 100, 0.5, 0.1, seed=(7, 0))
         test = make_blobs(100, 10, 100, 0.5, 0.1, seed=(7, 1))
-        spec = NoiseSpec("pair", 0.4)
-        for seed in (1, 2, 3):
-            plain = run_experiment(
-                TrainConfig(criteria=CriteriaConfig(variant=Variant.NONE), seed=seed),
-                train,
-                test,
-                spec,
-            )
-            ol = run_experiment(
-                TrainConfig(criteria=CriteriaConfig(variant=Variant.OL), seed=seed),
-                train,
-                test,
-                spec,
-            )
+        plan = [
+            TrainConfig(criteria=CriteriaConfig(variant=variant), seed=seed)
+            for seed in (1, 2, 3)
+            for variant in (Variant.NONE, Variant.OL)
+        ]
+        results = [result for _, result in run_plan(plan, train, test, NoiseSpec("pair", 0.4))]
+        for plain, ol in zip(results[::2], results[1::2]):
             assert ol.best_test_error <= plain.best_test_error
