@@ -172,12 +172,12 @@ def _dump_penalty_labels(out_dir: Path, run_id: str, seed: int, result: RunResul
     write_penalty_history(path, [estimate.labels for estimate in result.penalty_history])
 
 
-def _trainer_count() -> int:
-    """Processes to train a plan: one per BLAS thread team the CPUs hold, so one when unpinned."""
+def _trainer_count() -> tuple[int, int]:
+    """The BLAS thread teams the CPUs hold and the threads of one team, for ``deal``; unpinned, one team of all."""
     cpus = len(os.sched_getaffinity(0))
     values = (os.environ.get(v, "").strip() for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
     blas_threads = next((int(v) for v in values if v.isdigit() and int(v) > 0), cpus)  # in OpenBLAS's order
-    return max(1, cpus // blas_threads)
+    return max(1, cpus // blas_threads), blas_threads
 
 
 def _train(share: list[int], plan: list[TrainConfig], inputs: tuple):
@@ -222,7 +222,7 @@ def run_plan(plan: list[TrainConfig], train, test, spec):
     Runs come in plan order, each equal to the run alone; the first to fail is raised. Closing joins the helpers.
     """
     inputs = (train, test, spec)
-    shares = deal(plan, _trainer_count())
+    shares = deal(plan, *_trainer_count())
     own = _train(shares[0], plan, inputs)  # trainer 0 is this process
     ctx = multiprocessing.get_context("fork")  # helpers inherit the data and plan unpickled
     queue = ctx.Queue() if len(shares) > 1 else None

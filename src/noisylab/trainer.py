@@ -295,26 +295,39 @@ class EpochCache:
         self.found: dict = {}  # key -> the stats, test error, estimates and weights its epoch left
 
 
-def deal(plan: list[TrainConfig], teams: int) -> list[list[int]]:
-    """Plan indices per trainer, in plan order, for at most ``teams`` trainers and one per chain.
+def deal(plan: list[TrainConfig], teams: int, threads: int) -> list[list[int]]:
+    """Plan indices per trainer, in plan order, for the trainer count modelled to finish first on ``teams`` CPU teams.
 
-    A chain is the runs of one seed whose every epoch key is the same, which one EpochCache trains once. Seeds
-    are dealt whole if at least as many as the trainers, else chains, costliest first to the least-loaded trainer.
+    A chain is the runs of one seed whose every epoch key is the same, which one EpochCache trains once. For each
+    trainer count up to one per chain, seeds are dealt whole if at least as many as the trainers, else chains,
+    costliest first to the least-loaded trainer. While r trainers remain, each runs at min(1, teams / r) speed,
+    and the earliest finish wins, ties to fewer trainers. Trainers outnumber the teams only when a team is one
+    BLAS thread (``threads``), so that no BLAS workers spin against each other.
     """
-    chain = [epoch_key(c, c.epochs - 1) for c in plan]
-    width = max(1, min(teams, len(set(chain))))  # an empty plan gets one empty share
-    key = chain if len({c.seed for c in plan}) < width else [c.seed for c in plan]
-    units = [[i for i, k in enumerate(key) if k == unit] for unit in dict.fromkeys(key)]
+    ids: dict = {}  # epoch key -> a small int, so that a share's epochs are a union of int sets
+    epochs = [{ids.setdefault(epoch_key(c, e), len(ids)) for e in range(c.epochs)} for c in plan]
+    chain = [ids[epoch_key(c, c.epochs - 1)] for c in plan]
 
     def cost(unit: list[int]) -> int:  # trained epochs, plus one for each that runs a repredict pass
-        runs = [(epoch_key(plan[i], e), plan[i].penalty_update) for i in unit for e in range(plan[i].epochs)]
-        return len({k for k, _ in runs}) + len({k for k, update in runs if update is PenaltyUpdate.REPREDICT})
+        passes = (epochs[i] for i in unit if plan[i].penalty_update is PenaltyUpdate.REPREDICT)
+        return len(set().union(*(epochs[i] for i in unit))) + len(set().union(*passes))
 
-    shares, loads = [[] for _ in range(width)], [0] * width
-    for unit in sorted(units, key=cost, reverse=True):  # a stable sort: equal units keep plan order
-        shares[least := loads.index(min(loads))] += unit  # ties go to the lower trainer
-        loads[least] += cost(unit)
-    return [sorted(share) for share in shares]
+    def lpt(width: int) -> list[list[int]]:
+        key = chain if len({c.seed for c in plan}) < width else [c.seed for c in plan]
+        units = [[i for i, k in enumerate(key) if k == unit] for unit in dict.fromkeys(key)]
+        shares, loads = [[] for _ in range(width)], [0] * width
+        for unit in sorted(units, key=cost, reverse=True):  # a stable sort: equal units keep plan order
+            shares[least := loads.index(min(loads))] += unit  # ties go to the lower trainer
+            loads[least] += cost(unit)
+        return [sorted(share) for share in shares]
+
+    def finish(shares: list[list[int]]) -> int:  # times teams, so exact; `left` trainers run at min(1, teams / left)
+        loads = sorted(map(cost, shares))
+        return sum((b - a) * max(teams, left) for a, b, left in zip([0, *loads], loads, range(len(loads), 0, -1)))
+
+    chains = len(set(chain))
+    widest = max(1, chains if threads == 1 else min(teams, chains))  # an empty plan gets one empty share
+    return min(map(lpt, range(1, widest + 1)), key=finish)  # of equal finishes, min keeps the fewest trainers
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises NumericalFault instead

@@ -5,8 +5,8 @@ tests and the acceptance gate read them; each is three full 100-epoch runs.
 Build wall times are recorded so the runtime criteria can see them.
 
 The suite pins one BLAS thread unless the environment already sets one, so
-that ``run_plan`` deals each battery's seeds to forked helpers on a multi-core
-machine.
+that ``run_plan`` trains each of a battery's seeds in its own process on a
+multi-core machine.
 """
 
 import multiprocessing
@@ -34,7 +34,7 @@ def no_child_process_outlives_its_test():
 
 
 def pin_trainers(monkeypatch, cpus):
-    """One BLAS thread on ``cpus`` CPUs: a plan of that many seeds, or a seed's chains, trains in ``cpus`` processes."""
+    """One BLAS thread on ``cpus`` CPUs: ``deal`` picks the process count, and on one CPU it is always one."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr("noisylab.cli.os.sched_getaffinity", lambda pid: set(range(cpus)))
 

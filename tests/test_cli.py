@@ -846,7 +846,7 @@ class TestParallelSeeds:
 
     def test_helpers_train_and_change_no_output_byte(self, tmp_path, monkeypatch):
         outputs = {}
-        for cpus in (2, 1):
+        for cpus, processes in ((2, 3), (1, 1)):  # on 2 CPUs one process per seed
             pin_trainers(monkeypatch, cpus)
             trainers = tmp_path / f"trainers-{cpus}"
             trainers.mkdir()
@@ -861,15 +861,15 @@ class TestParallelSeeds:
             # a run.log line reads: stamp run_id seed= epochs= replayed= elapsed
             outputs[cpus]["run.log"] = [line.split()[1:-1] for line in (out / "run.log").read_text().splitlines()]
             trained_in = {p.name for p in trainers.iterdir()}
-            assert len(trained_in) == cpus
+            assert len(trained_in) == processes
             assert str(os.getpid()) in trained_in
         assert len(outputs[1]) == 3 + 4 * 3  # metrics, summary, run.log and one dump per run
         assert outputs[2] == outputs[1]
 
-    def test_a_split_seed_trains_in_two_processes_and_changes_no_output_byte(self, tmp_path, monkeypatch):
-        # one seed, three chains: this process trains ol and all-stacked, a helper all-repredict
+    def test_a_split_seed_trains_one_process_per_chain_with_same_outputs(self, tmp_path, monkeypatch):
+        # one seed, three chains: on 2 CPUs this process trains ol, one helper all-repredict, another all-stacked
         outputs, replayed = {}, {}
-        for cpus in (2, 1):
+        for cpus, processes in ((2, 3), (1, 1)):
             pin_trainers(monkeypatch, cpus)
             trainers = tmp_path / f"trainers-{cpus}"
             trainers.mkdir()
@@ -882,12 +882,12 @@ class TestParallelSeeds:
                 p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file() and p.name != "run.log"
             }
             replayed[cpus] = [line.split()[4] for line in (out / "run.log").read_text().splitlines()]
-            assert len({p.name for p in trainers.iterdir()}) == cpus
+            assert len({p.name for p in trainers.iterdir()}) == processes
         assert len(outputs[1]) == 2 + 4  # metrics, summary and one dump per run
         assert outputs[2] == outputs[1]
-        # a helper counts what it replayed itself: all-repredict trains the 3 warm-up epochs again
+        # a helper counts what it replayed itself: each all chain trains the 3 warm-up epochs again
         assert replayed == {
-            2: ["replayed=0", "replayed=10", "replayed=3", "replayed=0"],
+            2: ["replayed=0", "replayed=10", "replayed=0", "replayed=0"],
             1: ["replayed=0", "replayed=10", "replayed=3", "replayed=3"],
         }
 
@@ -900,7 +900,7 @@ class TestParallelSeeds:
             ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, 1),
             ({"OPENBLAS_NUM_THREADS": "8"}, 2, 3, 1),
             ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 4, 3, 2),
-            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 3, 2),
+            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, 3, 3),  # 1-thread teams: a process per seed
         ],
     )
     def test_one_trainer_per_blas_thread_team_and_seed(self, monkeypatch, env, cpus, seeds, trainers):
@@ -910,7 +910,7 @@ class TestParallelSeeds:
             monkeypatch.setenv(name, value)
         monkeypatch.setattr("noisylab.cli.os.sched_getaffinity", lambda pid: set(range(cpus)))
         plan = [TrainConfig(seed=seed) for seed in range(1, seeds + 1)]
-        assert len(deal(plan, _trainer_count())) == trainers
+        assert len(deal(plan, *_trainer_count())) == trainers
 
     def test_fault_in_the_first_run_ends_the_plan_though_a_helper_finished(
         self, config_path, tmp_path, capsys, monkeypatch
@@ -937,9 +937,9 @@ class TestParallelSeeds:
     @pytest.mark.parametrize(
         "command, faulty, kept",
         [
-            # the helper trains seed 2
+            # a helper trains seed 2
             (["run", "--seeds", "1,2,3"], lambda cfg: cfg.seed == 2, [("all-stacked-lam1.0", 1)]),
-            # one seed: the helper trains the all-repredict chain, and this process all-stacked after it
+            # one seed: one helper trains the all-repredict chain, another all-stacked
             (
                 ["compare", "--variants", "ol,all", "--strategies", "repredict,stacked"],
                 lambda cfg: (cfg.criteria.variant, cfg.penalty_update) == ("all", "repredict"),

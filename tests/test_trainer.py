@@ -2,10 +2,12 @@
 
 import math
 import multiprocessing
+import os
 import re
 import time
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 from unittest import mock
 
@@ -634,6 +636,36 @@ def command_plan(variants, strategies, lams, seeds, **kwargs):
 
 
 K100_SHAPED = dict(variants=["ol", "all"], strategies=["stacked", "repredict"], lams=[1.0], seeds=[1])
+PAIR40_SHAPED = dict(variants=["all"], strategies=["stacked"], lams=[1.0], seeds=[1, 2, 3])
+
+
+def share_cost(plan, share):
+    """A share's trained epochs, plus one for each that runs a repredict pass."""
+    runs = [(epoch_key(plan[i], e), plan[i].penalty_update) for i in share for e in range(plan[i].epochs)]
+    return len({key for key, _ in runs}) + len({key for key, update in runs if update is PenaltyUpdate.REPREDICT})
+
+
+def modelled_finish(plan, shares, teams):
+    """When the last share is done if, while r trainers are left, each runs at min(1, teams / r)."""
+    now, done = Fraction(0), 0
+    loads = sorted(share_cost(plan, share) for share in shares)
+    for left, load in zip(range(len(loads), 0, -1), loads):
+        now += (load - done) / min(Fraction(1), Fraction(teams, left))
+        done = load
+    return now
+
+
+def fixed_width_deal(plan, width):
+    """``width`` shares: whole seeds if at least that many, else chains, costliest first to the least loaded."""
+    chain = [epoch_key(c, c.epochs - 1) for c in plan]
+    key = chain if len({c.seed for c in plan}) < width else [c.seed for c in plan]
+    units = [[i for i, k in enumerate(key) if k == unit] for unit in dict.fromkeys(key)]
+    shares, loads = [[] for _ in range(width)], [0] * width
+    for unit in sorted(units, key=lambda unit: share_cost(plan, unit), reverse=True):
+        least = loads.index(min(loads))
+        shares[least] += unit
+        loads[least] += share_cost(plan, unit)
+    return [sorted(share) for share in shares]
 
 
 class TestDeal:
@@ -646,14 +678,19 @@ class TestDeal:
         epochs=st.integers(1, 5),
         data=st.data(),
         teams=st.integers(1, 6),
+        threads=st.integers(1, 2),
     )
     def test_every_run_is_dealt_once_and_no_chain_is_split(
-        self, variants, strategies, lams, seeds, epochs, data, teams
+        self, variants, strategies, lams, seeds, epochs, data, teams, threads
     ):
         warmup = data.draw(st.integers(0, epochs), label="warmup_epochs")
         plan = command_plan(variants, strategies, lams, seeds, epochs=epochs, warmup_epochs=warmup)
-        shares = deal(plan, teams)
-        assert 1 <= len(shares) <= teams
+        shares = deal(plan, teams, threads)
+        chains = len({epoch_key(c, epochs - 1) for c in plan})
+        assert 1 <= len(shares) <= chains
+        assert len(shares) <= teams or threads == 1  # BLAS workers never outnumber the CPUs
+        capped = fixed_width_deal(plan, min(teams, chains))
+        assert modelled_finish(plan, shares, teams) <= modelled_finish(plan, capped, teams)
         assert all(shares) and all(share == sorted(share) for share in shares)
         assert sorted(i for share in shares for i in share) == list(range(len(plan)))
         owner = {i: t for t, share in enumerate(shares) for i in share}
@@ -666,18 +703,26 @@ class TestDeal:
                 assert owner[i] == owner[j]  # enough seeds to deal whole ones
 
     def test_seeds_are_dealt_round_robin_when_they_outnumber_the_trainers(self):
-        # pair40: 3 seeds of one run; seeds 1 and 3 stay in the command's own process
-        assert deal(command_plan(["all"], ["stacked"], [1.0], [1, 2, 3]), 2) == [[0, 2], [1]]
+        # pair40 on two 2-thread teams: seeds 1 and 3 stay in the command's own process
+        assert deal(command_plan(**PAIR40_SHAPED), 2, 2) == [[0, 2], [1]]
+        # on two 1-thread teams, 3 seeds in 3 processes finish in 1.5 run-lengths; 2 processes take 2
+        assert deal(command_plan(**PAIR40_SHAPED), 2, 1) == [[0], [1], [2]]
+        # an even number of equal seeds finishes no sooner in more processes than two
+        for seeds in (4, 6, 8, 10):
+            plan = command_plan(["all"], ["stacked"], [1.0], list(range(1, seeds + 1)))
+            assert deal(plan, 2, 1) == [list(range(0, seeds, 2)), list(range(1, seeds, 2))]
 
     def test_k100_compare_pairs_the_cheap_chain_with_the_ol_chain(self):
         # ol-stacked and ol-repredict are one chain; both ol and all-repredict run a repredict pass every epoch
         plan = command_plan(**K100_SHAPED, epochs=30, warmup_epochs=8)
-        assert deal(plan, 2) == [[0, 1, 2], [3]]
-        assert deal(plan, 3) == deal(plan, 8) == [[0, 1], [3], [2]]
+        assert deal(plan, 2, 2) == [[0, 1, 2], [3]]
+        # on 1-thread teams each chain gets a process: 75 units of modelled time against 82
+        assert deal(plan, 2, 1) == deal(plan, 3, 2) == deal(plan, 8, 1) == [[0, 1], [3], [2]]
+        assert deal(plan, 1, 1) == deal(plan, 1, 2) == [[0, 1, 2, 3]]  # one CPU: splitting only retrains warm-up
 
     def test_one_trainer_takes_the_whole_plan_in_order(self):
         plan = command_plan(["none", "ol", "all"], ["repredict", "stacked"], [1.0], [2, 1])
-        assert deal(plan, 1) == [list(range(len(plan)))]
+        assert deal(plan, 1, 1) == [list(range(len(plan)))]
 
     @pytest.mark.parametrize("teams", [2, 3])
     def test_each_share_through_its_own_cache_keeps_nothing_for_the_others(self, tiny_blobs, teams):
@@ -692,7 +737,7 @@ class TestDeal:
             return predict_in_chunks(net, features)
 
         with mock.patch.object(trainer, "predict_in_chunks", counting_predict):
-            for share in deal(plan, teams):
+            for share in deal(plan, teams, 2):
                 owner = tuple(share)
                 cache = EpochCache([plan[i] for i in share], train, test, spec)
                 for i in share:
@@ -705,14 +750,21 @@ class TestDeal:
 
 
 class TestRunPlan:
-    """``cli.run_plan`` as a library caller uses it, in one process and with a forked helper."""
+    """``cli.run_plan`` as a library caller uses it, in one process and with forked helpers."""
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_runs_come_in_plan_order_each_equal_to_the_run_alone(self, tiny_blobs, monkeypatch, cpus):
+    @pytest.mark.parametrize(
+        "cpus, shape",
+        [
+            pytest.param(1, K100_SHAPED, id="1"),
+            pytest.param(2, K100_SHAPED, id="2"),  # one process per chain
+            pytest.param(2, PAIR40_SHAPED, id="2-three-seeds"),  # three processes on two CPUs
+        ],
+    )
+    def test_runs_come_in_plan_order_each_equal_to_the_run_alone(self, tiny_blobs, monkeypatch, cpus, shape):
         pin_trainers(monkeypatch, cpus)
         train, test = tiny_blobs
         spec = NoiseSpec("pair", 0.4)
-        plan = command_plan(**K100_SHAPED, epochs=5, warmup_epochs=2)
+        plan = command_plan(**shape, epochs=5, warmup_epochs=2)
         results = [result for _, result in run_plan(plan, train, test, spec)]
         assert len(results) == len(plan)
         for cfg, result in zip(plan, results):
@@ -723,20 +775,28 @@ class TestRunPlan:
     def test_an_empty_plan_yields_nothing(self, tiny_blobs):
         assert list(run_plan([], *tiny_blobs, NoiseSpec("pair", 0.4))) == []
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_closing_after_the_first_run_leaves_no_child(self, tiny_blobs, monkeypatch, cpus):
+    @pytest.mark.parametrize(
+        "cpus, shape, helpers",
+        [
+            pytest.param(1, K100_SHAPED, 0, id="1"),
+            pytest.param(2, K100_SHAPED, 2, id="2"),
+            pytest.param(2, PAIR40_SHAPED, 2, id="2-three-seeds"),
+        ],
+    )
+    def test_closing_after_the_first_run_leaves_no_child(self, tiny_blobs, monkeypatch, cpus, shape, helpers):
         pin_trainers(monkeypatch, cpus)
+        parent = os.getpid()
 
         def run(config, *args, **kwargs):
-            if config.penalty_update is PenaltyUpdate.REPREDICT and config.criteria.variant is Variant.ALL:
-                time.sleep(30)  # all-repredict is the helper's chain: it still trains at the close
+            if os.getpid() != parent:
+                time.sleep(30)  # every helper still trains at the close
             return run_experiment(config, *args, **kwargs)
 
         monkeypatch.setattr("noisylab.cli.run_experiment", run)
         train, test = tiny_blobs
-        runs = run_plan(command_plan(**K100_SHAPED, epochs=5, warmup_epochs=2), train, test, NoiseSpec("pair", 0.4))
+        runs = run_plan(command_plan(**shape, epochs=5, warmup_epochs=2), train, test, NoiseSpec("pair", 0.4))
         next(runs)
-        assert len(multiprocessing.active_children()) == cpus - 1
+        assert len(multiprocessing.active_children()) == helpers
         runs.close()
         assert multiprocessing.active_children() == []
 

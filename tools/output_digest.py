@@ -14,11 +14,14 @@ trained by a repredict run, no warm-up, all warm-up, and whole ol and pl runs
 replayed across lambdas) and the three benchmark workloads (idx784 on the
 IDX quartet that ``perfbench/idxgen.py`` writes for seed 1).
 
-On two CPUs a forked helper trains the second listed seed of every
-multi-seed command, and some chains of each one-seed compare that has several:
-the ol and all runs of ``quick-compare-sl``, ``quick-compare-warmup-0`` and
-``quick-compare-repredict-first`` (so the repredict-first warm-up is trained
-in both processes), and all-repredict in both k100 compares. Only
+On two CPUs each seed of a three-seed command (``quick-seeds-3-1-2``,
+``quick-sweep``, ``quick-compare-seeds-3-1-2`` and pair40) trains in its own
+process, and a forked helper trains the second listed seed of
+``quick-sweep-ol`` and ``quick-sweep-pl``. Of the one-seed compares, a helper
+trains the ol and all runs of ``quick-compare-sl``, ``quick-compare-warmup-0``
+and ``quick-compare-repredict-first`` (so the repredict-first warm-up is
+trained in both processes) and all-repredict in ``k100-compare-10-epochs``,
+and ``k100-compare`` trains each of its three chains in its own process. Only
 ``quick-dumps``, ``quick-compare-warmup-10`` (one chain, all warm-up) and
 idx784 train in one process. A run under ``taskset -c 0`` trains everything
 in one process and prints the same listing.
