@@ -33,6 +33,8 @@ from itertools import product
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
 from .config import (
     OUTPUT_DIR_ENV,
     ConfigError,
@@ -43,7 +45,7 @@ from .config import (
     load_raw_config,
     make_datasets,
 )
-from .metrics import summarize_runs, write_metrics_csv, write_penalty_history, write_summary_json
+from .metrics import summarize_runs, write_metrics_csv, write_summary_json
 from .network import NumericalFault
 from .noise import SYMMETRY_WARN_ABOVE, check_class_count
 from .trainer import (
@@ -165,13 +167,6 @@ def _plan(args: argparse.Namespace, config: ExperimentConfig) -> list[tuple[str,
     return plan
 
 
-def _dump_penalty_labels(out_dir: Path, run_id: str, seed: int, result: RunResult) -> None:
-    """Write the run's penalty history as one ``.npy``; row e is the estimate made at the end of epoch e."""
-    (out_dir / "penalty_labels").mkdir(parents=True, exist_ok=True)
-    path = out_dir / "penalty_labels" / f"{run_id}-seed{seed}.npy"
-    write_penalty_history(path, [estimate.labels for estimate in result.penalty_history])
-
-
 def _trainer_count() -> tuple[int, int]:
     """The BLAS thread teams the CPUs hold and the threads of one team, for ``deal``; unpinned, one team of all."""
     cpus = len(os.sched_getaffinity(0))
@@ -272,8 +267,10 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
                 counts = f"seed={cfg.seed} epochs={cfg.epochs} replayed={result.replayed}"
                 log_lines.append(f"{stamp} {run_id} {counts} {elapsed:.2f}s")
                 runs.append((run_id, list(result.records)))
-                if config.output.dump_penalty_labels:
-                    _dump_penalty_labels(out_dir, run_id, cfg.seed, result)
+                if config.output.dump_penalty_labels:  # row e of the array is the estimate made at the end of epoch e
+                    (out_dir / "penalty_labels").mkdir(parents=True, exist_ok=True)
+                    history = np.stack([estimate.labels for estimate in result.penalty_history])
+                    np.save(out_dir / "penalty_labels" / f"{run_id}-seed{cfg.seed}.npy", history)
     finally:
         # a failing run still leaves the files of the runs that finished before it
         if runs:

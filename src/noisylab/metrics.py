@@ -1,4 +1,4 @@
-"""Run records, evaluation metrics, and deterministic CSV/JSON/NPY writers.
+"""Run records, evaluation metrics, and deterministic CSV/JSON writers.
 
 Output files carry no timestamps; identical inputs give byte-identical
 bodies. Floats are written with repr, the shortest round-trip form.
@@ -150,12 +150,3 @@ def write_summary_json(path: str | Path, summary: dict) -> None:
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
     )
 
-
-def write_penalty_history(path: str | Path, history: Sequence[np.ndarray]) -> None:
-    """Write a run's (k, k) matrices as one (epochs, k, k) float64 ``.npy``: the bytes ``np.save`` writes of
-    their stack, streamed one matrix at a time after the header, so the stack is never built."""
-    with open(path, "wb") as fh:
-        shape = (len(history), *history[0].shape)
-        np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False, "shape": shape})
-        for labels in history:
-            labels.astype("<f8", copy=False).tofile(fh)

@@ -375,8 +375,8 @@ def run_experiment(
             stats = train_epoch(state, noisy, resolved, epoch, others)
             predictions = np.argmax(predict_in_chunks(state.net, test.features), axis=1)
             error = test_error(predictions, test.true_labels)
-            if others:  # keep the weights if some of its runs part from this one after it
-                parting = readers[epoch_key(config, epoch + 1)] < readers[key]
+            if others:  # keep the weights if some of its runs part from this one after it, to train a later epoch
+                parting = epoch + 1 < config.epochs and readers[epoch_key(config, epoch + 1)] < readers[key]
                 kept = (state.net.params.copy(), state.opt.velocity.copy()) if parting else None
                 found[key] = (stats, error, {s: state.estimates[s] for s in others}, kept)
         readers[key] -= 1

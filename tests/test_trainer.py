@@ -594,6 +594,20 @@ class TestEpochCache:
                 assert cache.found == {}
         assert extra == [()] * 12  # no estimate beyond each run's own
 
+    def test_no_weights_are_kept_when_the_runs_share_every_epoch(self, tiny_blobs):
+        # ol reads no penalty labels, so its repredict run replays the stacked run whole and never resumes
+        train, test = tiny_blobs
+        spec = NoiseSpec("pair", 0.4)
+        ol = small_config(criteria=CriteriaConfig(Variant.OL))
+        plan = [ol, replace(ol, penalty_update=PenaltyUpdate.REPREDICT)]
+        cache = EpochCache(plan, train, test, spec)
+        run_experiment(plan[0], train, test, spec, cache)
+        assert len(cache.found) == ol.epochs
+        assert [weights for *_, weights in cache.found.values()] == [None] * ol.epochs
+        second = run_experiment(plan[1], train, test, spec, cache)
+        assert second.replayed == ol.epochs
+        assert second.records == run_experiment(plan[1], train, test, spec).records
+
     @pytest.mark.parametrize("other", ["train", "test", "spec"])
     def test_refuses_a_cache_built_for_other_inputs(self, tiny_blobs, other):
         train, test = tiny_blobs

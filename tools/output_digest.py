@@ -11,8 +11,11 @@ penalty-label dumps, unsorted seed lists, a dumping multi-seed compare whose
 seeds train in parallel (on two or more CPUs a forked helper trains seed 1,
 so runs arrive out of plan order), runs that share epochs (a shared warm-up
 trained by a repredict run, no warm-up, all warm-up, and whole ol and pl runs
-replayed across lambdas) and the three benchmark workloads (idx784 on the
-IDX quartet that ``perfbench/idxgen.py`` writes for seed 1).
+replayed across lambdas), the three benchmark workloads (idx784 on the IDX
+quartet that ``perfbench/idxgen.py`` writes for seed 1) and ``idx784-dumps``,
+idx784 on the same quartet with penalty-label dumps. Its 784-wide first layer
+is where BLAS bits depend on the thread count, so the penalty arrays show a
+change in the trained weights that ``metrics.csv`` can miss.
 
 On two CPUs each seed of a three-seed command (``quick-seeds-3-1-2``,
 ``quick-sweep``, ``quick-compare-seeds-3-1-2`` and pair40) trains in its own
@@ -22,9 +25,9 @@ trains the ol and all runs of ``quick-compare-sl``, ``quick-compare-warmup-0``
 and ``quick-compare-repredict-first`` (so the repredict-first warm-up is
 trained in both processes) and all-repredict in ``k100-compare-10-epochs``,
 and ``k100-compare`` trains each of its three chains in its own process. Only
-``quick-dumps``, ``quick-compare-warmup-10`` (one chain, all warm-up) and
-idx784 train in one process. A run under ``taskset -c 0`` trains everything
-in one process and prints the same listing.
+``quick-dumps``, ``quick-compare-warmup-10`` (one chain, all warm-up),
+idx784 and ``idx784-dumps`` train in one process. A run under ``taskset -c 0``
+trains everything in one process and prints the same listing.
 
 After the hashes it prints one line ``exit N  name  'stderr'`` per command of
 ``failing_commands``, which covers exit codes 2 to 5: bad flag lists, a
@@ -90,6 +93,8 @@ def commands(inputs: Path) -> dict[str, tuple[str, ...]]:
         ),
         "k100-compare-10-epochs": (*bench["k100-compare"], "--set", "train.epochs=10"),
         **bench,
+        # on idx784's IDX files: a second workload_inputs call would find its idx/ directory made
+        "idx784-dumps": (*bench["idx784"], *DUMPS),
     }
 
 
