@@ -48,9 +48,7 @@ from .config import (
 from .metrics import summarize_runs, write_metrics_csv, write_summary_json
 from .network import NumericalFault
 from .noise import SYMMETRY_WARN_ABOVE, check_class_count
-from .trainer import (
-    CriteriaConfig, EpochCache, PenaltyUpdate, RunResult, TrainConfig, Variant, deal, run_experiment
-)
+from .trainer import CriteriaConfig, EpochCache, PenaltyUpdate, TrainConfig, Variant, deal, run_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -176,7 +174,7 @@ def _trainer_count() -> tuple[int, int]:
 
 
 def _train(share: list[int], plan: list[TrainConfig], inputs: tuple):
-    """Train ``share``'s plan indices through their own EpochCache; yield (index, elapsed, outcome) up to a fault."""
+    """Train ``share``'s plan indices through their own EpochCache; yield (elapsed, outcome) up to a fault."""
     cache = EpochCache([plan[index] for index in share], *inputs)  # made in the process that trains them
     for index in share:
         started = time.perf_counter()
@@ -184,7 +182,7 @@ def _train(share: list[int], plan: list[TrainConfig], inputs: tuple):
             outcome = run_experiment(plan[index], *inputs, cache)
         except Exception as exc:
             outcome = exc
-        yield index, time.perf_counter() - started, outcome
+        yield time.perf_counter() - started, outcome
         if isinstance(outcome, Exception):
             return
 
@@ -193,21 +191,21 @@ class HelperTraceback(Exception):
     """The traceback text of an exception raised in a helper, chained on as its cause."""
 
 
-def _send(queue, arrivals) -> None:
-    for index, elapsed, outcome in arrivals:
+def _send(queue, runs) -> None:
+    for elapsed, outcome in runs:
         # pickling drops the traceback, so the helper sends its text beside the exception
         text = "".join(traceback.format_exception(outcome)) if isinstance(outcome, Exception) else None
-        queue.put((index, elapsed, outcome, text))  # the queue's feeder thread writes it, so a helper never waits
+        queue.put((elapsed, outcome, text))  # the queue's feeder thread writes it, so a helper never waits
 
 
-def _receive(queue, helper) -> tuple:
-    """The next arrival from any helper; ``helper`` gone without sending the awaited run is an error."""
+def _receive(queue, helper):
+    """Yield ``helper``'s (elapsed, outcome) pairs in its plan order; its exit before the awaited run is an error."""
     while (gone := helper.exitcode) is None or not queue.empty():  # what a gone helper sent is in the pipe
         with suppress(queues.Empty):
-            index, elapsed, outcome, text = queue.get(timeout=0.1)
+            elapsed, outcome, text = queue.get(timeout=0.1)
             if text is not None:
                 outcome.__cause__ = HelperTraceback(text)
-            return index, elapsed, outcome
+            yield elapsed, outcome
     raise RuntimeError(f"helper exited with code {gone} before sending its run")
 
 
@@ -220,21 +218,19 @@ def run_plan(plan: list[TrainConfig], train, test, spec):
     shares = deal(plan, *_trainer_count())
     own = _train(shares[0], plan, inputs)  # trainer 0 is this process
     ctx = multiprocessing.get_context("fork")  # helpers inherit the data and plan unpickled
-    queue = ctx.Queue() if len(shares) > 1 else None
-    helpers: list = []
-    arrived: dict[int, tuple[float, RunResult | Exception]] = {}
+    helpers, owners, ahead = [], {}, []  # ahead: this process's runs, trained before their turn
     try:
         for share in shares[1:]:
+            queue = ctx.Queue()  # one per helper, which sends its share in plan order
             helper = ctx.Process(target=_send, args=(queue, _train(share, plan, inputs)))
             helper.start()
             helpers.append(helper)
+            owners.update(dict.fromkeys(share, (queue, _receive(queue, helper))))
         for index in range(len(plan)):
-            while index not in arrived:  # train this process's next run, or take a run a helper sent
-                helper = next((h for h, share in zip(helpers, shares[1:]) if index in share), None)
-                arrival = next(own, None) if helper is None or queue.empty() else None
-                i, elapsed, outcome = arrival or _receive(queue, helper)
-                arrived[i] = elapsed, outcome
-            elapsed, result = arrived.pop(index)
+            queue, runs = owners.get(index, (None, None))  # no runs: this process trains the run
+            while runs and queue.empty() and (run := next(own, None)):  # train ahead while the awaited run is not here
+                ahead.append(run)
+            elapsed, result = next(runs) if runs else ahead.pop(0) if ahead else next(own)
             if isinstance(result, Exception):  # the first failing run in plan order ends the plan
                 raise result
             yield elapsed, result

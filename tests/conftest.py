@@ -7,6 +7,9 @@ Build wall times are recorded so the runtime criteria can see them.
 The suite pins one BLAS thread unless the environment already sets one, so
 that ``run_plan`` trains each of a battery's seeds in its own process on a
 multi-core machine.
+
+Hypothesis runs under one profile that draws the same examples on every run and
+keeps no example database, so a property test that passes once passes again.
 """
 
 import multiprocessing
@@ -14,6 +17,10 @@ import os
 import time
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when noisylab first imports numpy
 

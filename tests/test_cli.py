@@ -102,7 +102,7 @@ class TestRunCommand:
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
-    def test_set_overrides_reach_the_run(self, config_path, tmp_path):
+    def test_set_overrides_reach_the_run(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
             [
@@ -115,6 +115,10 @@ class TestRunCommand:
                 "train.criteria.lambda=0.5",
                 "--set",
                 "train.criteria.variant=ol",
+                "--set",
+                "noise.kind=symmetry",
+                "--set",
+                "noise.epsilon=0.7",
             ]
         )
         assert code == EXIT_OK
@@ -122,6 +126,8 @@ class TestRunCommand:
         assert group["lambda"] == 0.5
         assert group["variant"] == "ol"
         assert group["run_id"] == "ol-stacked-lam0.5"
+        # the noise overrides reach execute, which flags a symmetric rate above the tested range
+        assert capsys.readouterr().err == "warning: symmetric noise rate 0.7 is above 0.6, outside the tested range\n"
 
     def test_seeds_flag_overrides_config(self, config_path, tmp_path):
         out = tmp_path / "out"

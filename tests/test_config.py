@@ -90,6 +90,11 @@ class TestApplyOverrides:
         with pytest.raises(ConfigParseError):
             apply_overrides({}, ["train.epochs"])
 
+    @pytest.mark.parametrize("assignment", ["=1", " = 1", "..=1"])
+    def test_empty_key_path(self, assignment):
+        with pytest.raises(ConfigParseError, match="has an empty key path"):
+            apply_overrides({}, [assignment])
+
     def test_cannot_descend_through_scalar(self):
         with pytest.raises(ConfigParseError):
             apply_overrides({"train": 5}, ["train.epochs=1"])
@@ -171,6 +176,18 @@ seeds: [4, 5]
             build_config({"output": {"formats": ["xml"]}})
         with pytest.raises(ConfigError):
             build_config({"output": {"formats": []}})
+        with pytest.raises(ConfigError, match=r"train.lr_milestones\[0\] must be a list of 2 items"):
+            build_config({"train": {"lr_milestones": [[50]]}})
+        for dataset, message in [
+            ({"kind": "csv"}, "kind must be 'blobs' or 'idx'"),
+            ({"n_per_class": 0}, "n_per_class and test_per_class must be positive"),
+            ({"test_per_class": -1}, "n_per_class and test_per_class must be positive"),
+            ({"dim": 0}, "dim must be at least 1"),
+            ({"separation": 0.0}, "separation and spread must be positive"),
+            ({"spread": -0.1}, "separation and spread must be positive"),
+        ]:
+            with pytest.raises(ConfigError, match=f"dataset: {message}"):
+                build_config({"dataset": dataset})
 
     @pytest.mark.parametrize(
         "raw",

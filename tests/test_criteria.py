@@ -16,6 +16,7 @@ from noisylab.criteria import (
     estimate_penalty_labels,
     ideal_penalty_affine_check,
 )
+from noisylab.noise import ROW_SUM_TOL, NoiseSpec, build_transition
 
 
 def onehot(labels, k):
@@ -204,6 +205,32 @@ class TestEstimatePenaltyLabels:
         assert estimate.labels[fallback].tobytes() == uniform[fallback].tobytes()
         assert estimate.epoch_of_estimate == 3
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_pair_noise_puts_the_predicted_share_on_the_next_class(self, data):
+        # n samples per true class, the first eps * n of each observed as the next class; a true-i sample is
+        # confident (1 - m) e_i + m T_i. Observed class j then holds (1 - eps) n true-j and eps n true-(j - 1)
+        # samples, whose off-class mass is m eps (1 - eps) on j + 1 and eps (1 - m eps) on j - 1.
+        k = data.draw(st.integers(3, 12), label="k")
+        n = data.draw(st.integers(3, 40), label="n")
+        flipped = data.draw(st.integers(1, int(0.45 * n)), label="flipped")
+        m = data.draw(st.floats(0.0, 1.0), label="m")
+        eps = flipped / n
+        true = np.repeat(np.arange(k), n)
+        observed = (true + (np.arange(k * n) % n < flipped)) % k
+        confidences = (1 - m) * np.eye(k)[true] + m * build_transition(NoiseSpec("pair", eps), k)[true]
+        acc = ConfidenceAccumulator(k)
+        acc.stack_confidences(confidences, observed)
+
+        estimate = estimate_penalty_labels(acc, epoch=0)
+        share = m * (1 - eps) / (1 + m - 2 * m * eps)
+        rows = np.arange(k)
+        expected = np.zeros((k, k))
+        expected[rows, (rows + 1) % k] = share
+        expected[rows, (rows - 1) % k] = 1 - share
+        assert not estimate.fallback_mask.any()
+        assert np.abs(estimate.labels - expected).max() <= ROW_SUM_TOL
+
 
 class TestPenaltyLabelSet:
     def test_ideal_symmetric(self):
@@ -217,6 +244,12 @@ class TestPenaltyLabelSet:
         labels = np.full((3, 3), 1 / 3)
         with pytest.raises(ValueError):
             PenaltyLabelSet(labels, 0, np.zeros(3, dtype=bool)).validate()
+
+    def test_validate_rejects_non_square(self):
+        # zero "diagonal", non-negative rows that sum to one: only the shape is wrong
+        labels = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        with pytest.raises(ValueError, match="must be square"):
+            PenaltyLabelSet(labels, 0, np.zeros(2, dtype=bool)).validate()
 
     def test_validate_rejects_bad_row_sum(self):
         labels = np.array([[0.0, 0.4, 0.4], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])

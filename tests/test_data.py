@@ -40,6 +40,8 @@ class TestLabeledDataset:
     def test_rejects_label_out_of_range(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 2)), [0, 2], [0, 1], 2)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            LabeledDataset(np.zeros((2, 2)), [0, 0], [0, 0], 0)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -94,6 +94,10 @@ class TestNoiseSpec:
             NoiseSpec("symmetry", -0.1)
         with pytest.raises(ValueError):
             NoiseSpec("mixed", epsilon1=0.9, epsilon2=0.2)
+        # each part is a rate, even where the sum is one
+        for parts in ((-0.1, 0.3), (0.3, -0.1)):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                NoiseSpec("mixed", epsilon1=parts[0], epsilon2=parts[1])
 
     def test_mixed_requires_both_parts(self):
         with pytest.raises(ValueError):
@@ -191,7 +195,7 @@ class TestCorruptLabels:
 
 
 class TestCorruptLabelsProperty:
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(deadline=None, max_examples=60)
     @given(data=st.data())
     def test_row_frequencies_within_six_sigma(self, data):
         kind = data.draw(st.sampled_from(["pair", "symmetry", "mixed"]))
@@ -208,5 +212,8 @@ class TestCorruptLabelsProperty:
         dataset = block_dataset(n, k)
         matrix = build_transition(spec, k)
         out = corrupt_labels(dataset, matrix, seed=data.draw(st.integers(0, 2**32 - 1)))
-        bound = 6.0 * np.sqrt(matrix * (1.0 - matrix) / n)
+        # Bernstein's inequality at six sigma's Gaussian exponent, 18, so about 3e-8 per entry. The count's deviation
+        # stays within 6 + 6 sqrt(1 + v) for variance v: near 6 sigma for large n p, but also where n p is tiny and a
+        # single flip in n is already past six sigma (symmetry 6.1e-05 at k = 6 puts 1.2e-05 on each other class)
+        bound = (6.0 + 6.0 * np.sqrt(1.0 + n * matrix * (1.0 - matrix))) / n
         assert np.all(np.abs(empirical_transition(dataset, out) - matrix) <= bound)

@@ -536,7 +536,7 @@ def same_history(a, b):
 
 
 class TestEpochCache:
-    @settings(deadline=None, max_examples=25, derandomize=True)
+    @settings(deadline=None, max_examples=25)
     @given(st.data())
     def test_every_run_equals_the_same_run_alone(self, tiny_blobs, data):
         train, test = tiny_blobs
@@ -683,7 +683,7 @@ def fixed_width_deal(plan, width):
 
 
 class TestDeal:
-    @settings(deadline=None, max_examples=200, derandomize=True)
+    @settings(deadline=None, max_examples=200)
     @given(
         variants=st.lists(st.sampled_from(Variant), min_size=1, max_size=4, unique=True),
         strategies=st.lists(st.sampled_from(PenaltyUpdate), min_size=1, max_size=2, unique=True),
