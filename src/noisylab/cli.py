@@ -218,7 +218,9 @@ def run_plan(plan: list[TrainConfig], train, test, spec):
     shares = deal(plan, *_trainer_count())
     own = _train(shares[0], plan, inputs)  # trainer 0 is this process
     ctx = multiprocessing.get_context("fork")  # helpers inherit the data and plan unpickled
-    helpers, owners, ahead = [], {}, []  # ahead: this process's runs, trained before their turn
+    helpers = []
+    owners = {}  # plan index -> (queue, receiver) of the helper that trains it
+    ahead = []  # this process's runs, trained before their turn
     try:
         for share in shares[1:]:
             queue = ctx.Queue()  # one per helper, which sends its share in plan order
@@ -227,10 +229,13 @@ def run_plan(plan: list[TrainConfig], train, test, spec):
             helpers.append(helper)
             owners.update(dict.fromkeys(share, (queue, _receive(queue, helper))))
         for index in range(len(plan)):
-            queue, runs = owners.get(index, (None, None))  # no runs: this process trains the run
-            while runs and queue.empty() and (run := next(own, None)):  # train ahead while the awaited run is not here
-                ahead.append(run)
-            elapsed, result = next(runs) if runs else ahead.pop(0) if ahead else next(own)
+            if index in owners:
+                queue, runs = owners[index]
+                while queue.empty() and (run := next(own, None)):  # train ahead while the awaited run is not here
+                    ahead.append(run)
+                elapsed, result = next(runs)
+            else:  # this process's run, trained ahead or now
+                elapsed, result = ahead.pop(0) if ahead else next(own)
             if isinstance(result, Exception):  # the first failing run in plan order ends the plan
                 raise result
             yield elapsed, result

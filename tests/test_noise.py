@@ -214,6 +214,8 @@ class TestCorruptLabelsProperty:
         out = corrupt_labels(dataset, matrix, seed=data.draw(st.integers(0, 2**32 - 1)))
         # Bernstein's inequality at six sigma's Gaussian exponent, 18, so about 3e-8 per entry. The count's deviation
         # stays within 6 + 6 sqrt(1 + v) for variance v: near 6 sigma for large n p, but also where n p is tiny and a
-        # single flip in n is already past six sigma (symmetry 6.1e-05 at k = 6 puts 1.2e-05 on each other class)
-        bound = (6.0 + 6.0 * np.sqrt(1.0 + n * matrix * (1.0 - matrix))) / n
+        # single flip in n is already past six sigma (symmetry 6.1e-05 at k = 6 puts 1.2e-05 on each other class).
+        # An entry of exactly 0 or 1 has no variance, so its count is pinned exactly.
+        variance = n * matrix * (1.0 - matrix)
+        bound = np.where(variance > 0, (6.0 + 6.0 * np.sqrt(1.0 + variance)) / n, 0.0)
         assert np.all(np.abs(empirical_transition(dataset, out) - matrix) <= bound)
