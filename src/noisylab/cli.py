@@ -36,7 +36,6 @@ from typing import Any, Callable
 import numpy as np
 
 from .config import (
-    OUTPUT_DIR_ENV,
     ConfigError,
     ConfigParseError,
     ExperimentConfig,
@@ -89,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key by dotted path (repeatable)",
         )
-        p.add_argument("--out", help="output directory (default: config, then $" + OUTPUT_DIR_ENV + ")")
+        p.add_argument("--out", help="output directory (default: ./results)")
         p.add_argument("--seeds", help="comma-separated seed list overriding the config")
         return p
 
@@ -130,14 +129,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.seeds is not None:
         raw["seeds"] = list(_parse_list(args.seeds, int, "seed"))
     return build_config(raw)
-
-
-def _output_dir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
-    if args.out:
-        return Path(args.out)
-    if config.output.directory:
-        return Path(config.output.directory)
-    return Path(os.environ.get(OUTPUT_DIR_ENV, "results"))
 
 
 def _plan(args: argparse.Namespace, config: ExperimentConfig) -> list[tuple[str, TrainConfig]]:
@@ -252,7 +243,7 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
         check_class_count(config.noise, train_clean.k)
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
-    out_dir = _output_dir(args, config)  # made when the first file is written
+    out_dir = Path(args.out or "results")  # made when the first file is written
     deepest = out_dir / "penalty_labels" if config.output.dump_penalty_labels else out_dir
     nearest = next(p for p in (deepest, *deepest.parents) if p.exists())
     if not nearest.is_dir():

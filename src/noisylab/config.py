@@ -1,8 +1,8 @@
 """Experiment configuration: YAML file, dotted overrides, validation.
 
 One YAML file describes a whole experiment: the dataset, the noise, the
-training recipe, and where outputs go. Command-line overrides address any
-key by dotted path, for example ``train.criteria.lambda=0.5``. The keys
+training recipe, and which outputs to write. Command-line overrides address
+any key by dotted path, for example ``train.criteria.lambda=0.5``. The keys
 and their value types are the fields of the config dataclasses, and the
 dataclasses check their own ranges.
 """
@@ -23,7 +23,6 @@ from .data import LabeledDataset, load_idx, make_blobs
 from .noise import NoiseSpec
 from .trainer import TrainConfig
 
-OUTPUT_DIR_ENV = "NOISYLAB_OUT"
 KNOWN_FORMATS = ("csv", "json")
 
 
@@ -60,7 +59,7 @@ def load_raw_config(path: str | Path) -> dict:
     """Read a YAML mapping; parse trouble raises ConfigParseError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = yaml.load(text, Loader=_UniqueKeyLoader)
@@ -142,7 +141,6 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str | None = None
     formats: tuple[str, ...] = KNOWN_FORMATS
     dump_penalty_labels: bool = False
 
@@ -170,7 +168,7 @@ class ExperimentConfig:
 
 
 # YAML keys that differ from their field names.
-_YAML_KEY = {"lam": "lambda", "directory": "dir"}
+_YAML_KEY = {"lam": "lambda"}
 # Library-only fields: execute sets the run seed from each entry of ``seeds``.
 _NOT_YAML = {"train.seed"}
 _TYPE_NOUNS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}

@@ -46,7 +46,7 @@ def ce_loss(confidences: np.ndarray, observed_onehot: np.ndarray) -> np.ndarray:
 
 
 def rce_loss(
-    confidences: np.ndarray, observed_onehot: np.ndarray, log_zero_clamp: float = -4.0
+    confidences: np.ndarray, observed_onehot: np.ndarray, log_zero_clamp: float
 ) -> np.ndarray:
     """Reverse cross entropy with log 0 clamped to a finite constant.
 

@@ -39,8 +39,8 @@ class LrSchedule:
     A milestone (e, m) applies from epoch e onward, and milestones compound.
     """
 
-    initial: float = 0.1
-    milestones: tuple[tuple[int, float], ...] = ((50, 0.2), (75, 0.2))
+    initial: float
+    milestones: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
         if self.initial <= 0:
@@ -162,10 +162,10 @@ class MomentumSgd:
     momentum decay, the update and the finiteness check each run once.
     """
 
-    def __init__(self, net: Mlp, momentum: float = 0.9, schedule: LrSchedule | None = None):
+    def __init__(self, net: Mlp, momentum: float, schedule: LrSchedule):
         check_momentum(momentum)
         self.momentum = momentum
-        self.schedule = schedule if schedule is not None else LrSchedule()
+        self.schedule = schedule
         self.velocity, weights, biases = _flat_layers(net.layer_sizes)
         self._velocity_views = list(zip(weights, biases))
 

@@ -15,6 +15,7 @@ keeps no example database, so a property test that passes once passes again.
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -38,6 +39,15 @@ RUN_TIMES: dict[str, float] = {}
 def no_child_process_outlives_its_test():
     yield
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(autouse=True)
+def no_default_output_directory_left_behind():
+    """A command run without ``--out`` writes ``./results``; a test must not leave one in the checkout."""
+    results = Path("results").resolve()
+    there = results.exists()
+    yield
+    assert there or not results.exists(), f"the test left {results}"
 
 
 def pin_trainers(monkeypatch, cpus):

@@ -23,7 +23,6 @@ from noisylab.cli import (
     _trainer_count,
     main,
 )
-from noisylab.config import OUTPUT_DIR_ENV
 from noisylab.data import IMAGES_MAGIC, LABELS_MAGIC
 from noisylab.network import NumericalFault
 from noisylab.trainer import TrainConfig, deal, run_experiment
@@ -192,30 +191,21 @@ class TestRunCommand:
             assert path.read_bytes() == saved.getvalue()
 
 
-class TestOutputDirPrecedence:
-    def test_config_dir_used_without_flag(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-        target = tmp_path / "from_config"
-        path = tmp_path / "experiment.yaml"
-        path.write_text(SMALL_CONFIG + f"output:\n  dir: {target}\n")
-        assert main(["run", "--config", str(path)]) == EXIT_OK
-        assert (target / "metrics.csv").exists()
+class TestOutputDir:
+    @pytest.mark.parametrize("out", [[], ["--out", ""]])
+    def test_results_is_the_default(self, config_path, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", config_path, *out]) == EXIT_OK
+        assert (tmp_path / "results" / "metrics.csv").exists()
 
-    def test_env_var_is_the_fallback(self, config_path, tmp_path, monkeypatch):
-        target = tmp_path / "from_env"
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
-        assert main(["run", "--config", config_path]) == EXIT_OK
-        assert (target / "metrics.csv").exists()
-
-    def test_flag_beats_config_and_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "ignored_env"))
-        path = tmp_path / "experiment.yaml"
-        path.write_text(SMALL_CONFIG + f"output:\n  dir: {tmp_path / 'ignored_cfg'}\n")
-        out = tmp_path / "explicit"
-        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_OK
-        assert (out / "metrics.csv").exists()
-        assert not (tmp_path / "ignored_env").exists()
-        assert not (tmp_path / "ignored_cfg").exists()
+    def test_output_dir_is_not_a_config_key(self, config_path, tmp_path, capsys):
+        # --out alone names the output directory
+        out = tmp_path / "o"
+        args = ["run", "--config", config_path, "--out", str(out), "--set", f"output.dir={tmp_path / 'x'}"]
+        assert main(args) == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == "error[CONFIG_INVALID]: unknown key output.dir\n"
+        assert not out.exists()
+        assert not (tmp_path / "x").exists()
 
 
 class TestSweepAndCompare:
@@ -440,6 +430,20 @@ class TestFailureExits:
         code = main(["run", "--config", str(tmp_path / "absent.yaml")])
         assert code == EXIT_CONFIG_PARSE
         assert capsys.readouterr().err.startswith("error[CONFIG_PARSE]:")
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_file_is_one_parse_error_line_before_any_output(self, tmp_path, capsys, kind):
+        path = tmp_path / "experiment.yaml"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"seeds: [1]\n# caf\xe9\n")  # Latin-1, not UTF-8
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[CONFIG_PARSE]: cannot read config file {path}: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_broken_yaml_is_parse_error(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"

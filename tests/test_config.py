@@ -46,6 +46,16 @@ class TestLoadRawConfig:
         with pytest.raises(ConfigParseError):
             load_raw_config(tmp_path / "absent.yaml")
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_file(self, tmp_path, kind):
+        path = tmp_path / "config.yaml"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"seeds: [1]\n# caf\xe9\n")  # Latin-1, not UTF-8
+        with pytest.raises(ConfigParseError, match="cannot read config file"):
+            load_raw_config(path)
+
     def test_broken_yaml(self, tmp_path):
         path = write_config(tmp_path, "a: [1, 2\n")
         with pytest.raises(ConfigParseError):
@@ -292,7 +302,7 @@ class TestMakeDatasets:
 
 
 # The YAML spellings of fields whose names differ, as README documents them.
-YAML_NAMES = {"lam": "lambda", "directory": "dir"}
+YAML_NAMES = {"lam": "lambda"}
 
 
 def yaml_keys(cls=ExperimentConfig, prefix="", attrs=()):
@@ -375,7 +385,6 @@ SCALARS = {
     "train.sl.alpha": (numbers(0), []),
     "train.sl.beta": (numbers(0), []),
     "train.sl.log_zero_clamp": (numbers(high=0, exclude_high=True), []),
-    "output.dir": (PATHS | st.none(), []),
     "output.dump_penalty_labels": (st.booleans(), []),
 }
 

@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from gradcheck import finite_difference_grads, kink_free_batch, relative_gradient_error
 from noisylab.losses import SlConfig, ce_grad_logits, ce_loss, sl_grad_logits, sl_loss
 from noisylab.network import LrSchedule, Mlp, MomentumSgd, NumericalFault, softmax
+from noisylab.trainer import TrainConfig
+
+# A constant learning rate of 0.1 for the optimizer tests that do not test the schedule.
+FLAT = LrSchedule(initial=0.1, milestones=())
 
 
 def onehot(labels, k):
@@ -33,7 +37,7 @@ class TestSoftmax:
 
 class TestLrSchedule:
     def test_default_steps(self):
-        schedule = LrSchedule()
+        schedule = LrSchedule(TrainConfig().learning_rate, TrainConfig().lr_milestones)
         assert schedule.rate(0) == pytest.approx(0.1)
         assert schedule.rate(49) == pytest.approx(0.1)
         assert schedule.rate(50) == pytest.approx(0.02)
@@ -47,8 +51,8 @@ class TestLrSchedule:
         assert schedule.rate(4) == pytest.approx(0.05)
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            LrSchedule(initial=0.0)
+        with pytest.raises(ValueError, match="initial learning rate must be positive"):
+            LrSchedule(initial=0.0, milestones=())
 
     @pytest.mark.parametrize("factor", [0.0, -1.0])
     def test_rejects_nonpositive_milestone_factor(self, factor):
@@ -194,7 +198,7 @@ class TestMomentumSgd:
     def test_zero_momentum_is_plain_sgd(self):
         net = Mlp((2, 3, 2), seed=7)
         shadow = Mlp((2, 3, 2), seed=7)
-        opt = MomentumSgd(net, momentum=0.0)
+        opt = MomentumSgd(net, momentum=0.0, schedule=FLAT)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 2))
         t = onehot(rng.integers(0, 2, size=4), 2)
@@ -218,9 +222,9 @@ class TestMomentumSgd:
     def test_momentum_bounds(self):
         net = Mlp((1, 1), seed=0)
         with pytest.raises(ValueError):
-            MomentumSgd(net, momentum=1.0)
+            MomentumSgd(net, momentum=1.0, schedule=FLAT)
         with pytest.raises(ValueError):
-            MomentumSgd(net, momentum=-0.1)
+            MomentumSgd(net, momentum=-0.1, schedule=FLAT)
 
     def test_exploding_update_raises_fault(self):
         net = Mlp((1, 1), seed=0)
@@ -238,7 +242,7 @@ class TestMomentumSgd:
     )
     def test_nonfinite_parameter_in_any_layer_raises_fault(self, layer, in_bias, position, bad):
         net = Mlp((3, 4, 5, 2), seed=0)
-        opt = MomentumSgd(net)
+        opt = MomentumSgd(net, momentum=0.9, schedule=FLAT)
         grads = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
         target = (net.biases if in_bias else net.weights)[layer]
         target.flat[position % target.size] = bad
@@ -247,7 +251,7 @@ class TestMomentumSgd:
 
     def test_layers_stay_views_of_flat_params(self):
         net = Mlp((2, 3, 2), seed=4)
-        opt = MomentumSgd(net)
+        opt = MomentumSgd(net, momentum=0.9, schedule=FLAT)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((5, 2))
         t = onehot(rng.integers(0, 2, size=5), 2)
