@@ -158,7 +158,7 @@ def _plan(args: argparse.Namespace, config: ExperimentConfig) -> list[tuple[str,
 
 def _trainer_count() -> tuple[int, int]:
     """The BLAS thread teams the CPUs hold and the threads of one team, for ``deal``; unpinned, one team of all."""
-    cpus = len(os.sched_getaffinity(0))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1  # not on macOS
     values = (os.environ.get(v, "").strip() for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
     blas_threads = next((int(v) for v in values if v.isdigit() and int(v) > 0), cpus)  # in OpenBLAS's order
     return max(1, cpus // blas_threads), blas_threads
@@ -207,26 +207,20 @@ def run_plan(plan: list[TrainConfig], train, test, spec):
     """
     inputs = (train, test, spec)
     shares = deal(plan, *_trainer_count())
-    own = _train(shares[0], plan, inputs)  # trainer 0 is this process
     ctx = multiprocessing.get_context("fork")  # helpers inherit the data and plan unpickled
     helpers = []
-    owners = {}  # plan index -> (queue, receiver) of the helper that trains it
-    ahead = []  # this process's runs, trained before their turn
+    runs = {}  # plan index -> the (elapsed, outcome) pairs of its trainer, in plan order
     try:
         for share in shares[1:]:
             queue = ctx.Queue()  # one per helper, which sends its share in plan order
             helper = ctx.Process(target=_send, args=(queue, _train(share, plan, inputs)))
             helper.start()
             helpers.append(helper)
-            owners.update(dict.fromkeys(share, (queue, _receive(queue, helper))))
+            runs.update(dict.fromkeys(share, _receive(queue, helper)))
+        own = _train(shares[0], plan, inputs)  # trainer 0 is this process: beside helpers, it trains its share first
+        runs.update(dict.fromkeys(shares[0], iter(list(own)) if helpers else own))
         for index in range(len(plan)):
-            if index in owners:
-                queue, runs = owners[index]
-                while queue.empty() and (run := next(own, None)):  # train ahead while the awaited run is not here
-                    ahead.append(run)
-                elapsed, result = next(runs)
-            else:  # this process's run, trained ahead or now
-                elapsed, result = ahead.pop(0) if ahead else next(own)
+            elapsed, result = next(runs[index])
             if isinstance(result, Exception):  # the first failing run in plan order ends the plan
                 raise result
             yield elapsed, result

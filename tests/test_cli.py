@@ -922,6 +922,13 @@ class TestParallelSeeds:
         plan = [TrainConfig(seed=seed) for seed in range(1, seeds + 1)]
         assert len(deal(plan, *_trainer_count())) == trainers
 
+    @pytest.mark.parametrize("cpu_count, teams", [(4, 4), (None, 1)])
+    def test_without_sched_getaffinity_the_cpu_count_holds_the_teams(self, monkeypatch, cpu_count, teams):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delattr("noisylab.cli.os.sched_getaffinity")  # as on macOS
+        monkeypatch.setattr("noisylab.cli.os.cpu_count", lambda: cpu_count)
+        assert _trainer_count() == (teams, 1)
+
     def test_fault_in_the_first_run_ends_the_plan_though_a_helper_finished(
         self, config_path, tmp_path, capsys, monkeypatch
     ):
@@ -949,6 +956,8 @@ class TestParallelSeeds:
         [
             # a helper trains seed 2
             (["run", "--seeds", "1,2,3"], lambda cfg: cfg.seed == 2, [("all-stacked-lam1.0", 1)]),
+            # dealt [[0, 2], [1, 3]]: this process trains seed 3 before it files seed 1, and drops it
+            (["run", "--seeds", "1,2,3,4"], lambda cfg: cfg.seed == 2, [("all-stacked-lam1.0", 1)]),
             # one seed: one helper trains the all-repredict chain, another all-stacked
             (
                 ["compare", "--variants", "ol,all", "--strategies", "repredict,stacked"],
@@ -956,7 +965,7 @@ class TestParallelSeeds:
                 [("ol-repredict", 1), ("ol-stacked", 1)],
             ),
         ],
-        ids=["seeds", "chains"],
+        ids=["seeds", "interleaved-seeds", "chains"],
     )
     def test_fault_in_a_helper_run_keeps_the_runs_before_it(
         self, config_path, tmp_path, capsys, monkeypatch, command, faulty, kept

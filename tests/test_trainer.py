@@ -6,6 +6,7 @@ import os
 import re
 import time
 from collections import Counter
+from contextlib import closing
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -651,6 +652,7 @@ def command_plan(variants, strategies, lams, seeds, **kwargs):
 
 K100_SHAPED = dict(variants=["ol", "all"], strategies=["stacked", "repredict"], lams=[1.0], seeds=[1])
 PAIR40_SHAPED = dict(variants=["all"], strategies=["stacked"], lams=[1.0], seeds=[1, 2, 3])
+FOUR_SEEDS = dict(PAIR40_SHAPED, seeds=[1, 2, 3, 4])  # on two 1-thread teams dealt [[0, 2], [1, 3]]
 
 
 def share_cost(plan, share):
@@ -772,6 +774,7 @@ class TestRunPlan:
             pytest.param(1, K100_SHAPED, id="1"),
             pytest.param(2, K100_SHAPED, id="2"),  # one process per chain
             pytest.param(2, PAIR40_SHAPED, id="2-three-seeds"),  # three processes on two CPUs
+            pytest.param(2, FOUR_SEEDS, id="2-four-seeds"),  # this process's runs interleave with a helper's
         ],
     )
     def test_runs_come_in_plan_order_each_equal_to_the_run_alone(self, tiny_blobs, monkeypatch, cpus, shape):
@@ -788,6 +791,29 @@ class TestRunPlan:
 
     def test_an_empty_plan_yields_nothing(self, tiny_blobs):
         assert list(run_plan([], *tiny_blobs, NoiseSpec("pair", 0.4))) == []
+
+    @pytest.mark.parametrize(
+        "cpus, trained",
+        [
+            pytest.param(1, [1], id="1"),  # alone, each run is yielded as soon as it is trained
+            pytest.param(2, [1, 3], id="2"),  # beside a helper, this process trains its whole share first
+        ],
+    )
+    def test_alone_it_streams_and_beside_helpers_trains_its_share_first(self, tiny_blobs, monkeypatch, cpus, trained):
+        pin_trainers(monkeypatch, cpus)
+        parent = os.getpid()
+        seeds = []
+
+        def run(config, *args, **kwargs):
+            if os.getpid() == parent:
+                seeds.append(config.seed)
+            return run_experiment(config, *args, **kwargs)
+
+        monkeypatch.setattr("noisylab.cli.run_experiment", run)
+        plan = command_plan(**FOUR_SEEDS, epochs=5, warmup_epochs=2)
+        with closing(run_plan(plan, *tiny_blobs, NoiseSpec("pair", 0.4))) as runs:
+            next(runs)
+            assert seeds == trained
 
     @pytest.mark.parametrize(
         "cpus, shape, helpers",
