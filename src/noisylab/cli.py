@@ -21,11 +21,9 @@ from __future__ import annotations
 import argparse
 import multiprocessing
 import os
-import queue as queues
 import sys
 import time
-import traceback
-from contextlib import closing, suppress
+from contextlib import closing
 from dataclasses import replace
 from datetime import datetime, timezone
 from enum import EnumMeta
@@ -178,26 +176,21 @@ def _train(share: list[int], plan: list[TrainConfig], inputs: tuple):
             return
 
 
-class HelperTraceback(Exception):
-    """The traceback text of an exception raised in a helper, chained on as its cause."""
-
-
 def _send(queue, runs) -> None:
+    from multiprocessing.pool import ExceptionWithTraceback  # only helpers send, so only they pay for the import
     for elapsed, outcome in runs:
-        # pickling drops the traceback, so the helper sends its text beside the exception
-        text = "".join(traceback.format_exception(outcome)) if isinstance(outcome, Exception) else None
-        queue.put((elapsed, outcome, text))  # the queue's feeder thread writes it, so a helper never waits
+        if isinstance(outcome, Exception):  # it unpickles as the exception, the helper's traceback as its cause
+            outcome = ExceptionWithTraceback(outcome, outcome.__traceback__)
+        queue.put((elapsed, outcome))  # the queue's feeder thread writes it, so a helper never waits
 
 
 def _receive(queue, helper):
     """Yield ``helper``'s (elapsed, outcome) pairs in its plan order; its exit before the awaited run is an error."""
-    while (gone := helper.exitcode) is None or not queue.empty():  # what a gone helper sent is in the pipe
-        with suppress(queues.Empty):
-            elapsed, outcome, text = queue.get(timeout=0.1)
-            if text is not None:
-                outcome.__cause__ = HelperTraceback(text)
-            yield elapsed, outcome
-    raise RuntimeError(f"helper exited with code {gone} before sending its run")
+    try:  # the helper holds the queue's only write end, so its exit ends a read, even one part-way through a run
+        yield from iter(queue.get, None)  # one blocking read per run, as no run is None
+    except (EOFError, OSError):
+        helper.join()
+        raise RuntimeError(f"helper exited with code {helper.exitcode} before sending its run") from None
 
 
 def run_plan(plan: list[TrainConfig], train, test, spec):
@@ -215,6 +208,7 @@ def run_plan(plan: list[TrainConfig], train, test, spec):
             queue = ctx.Queue()  # one per helper, which sends its share in plan order
             helper = ctx.Process(target=_send, args=(queue, _train(share, plan, inputs)))
             helper.start()
+            queue._writer.close()  # before the next fork, so the helper's exit is the end of its queue
             helpers.append(helper)
             runs.update(dict.fromkeys(share, _receive(queue, helper)))
         own = _train(shares[0], plan, inputs)  # trainer 0 is this process: beside helpers, it trains its share first

@@ -121,12 +121,15 @@ class DatasetConfig:
     test_labels: str | None = None
 
     def __post_init__(self) -> None:
+        paths = ("images", "labels", "test_images", "test_labels")
         if self.kind == "idx":
-            for key in ("images", "labels", "test_images", "test_labels"):
+            for key in paths:
                 if not getattr(self, key):
                     raise ValueError(f"{key} is required when kind is 'idx'")
         elif self.kind != "blobs":
             raise ValueError(f"kind must be 'blobs' or 'idx', not '{self.kind}'")
+        elif any(getattr(self, key) is not None for key in paths):  # else blobs would ignore them
+            raise ValueError("images, labels, test_images and test_labels only apply when kind is 'idx'")
         elif self.n_per_class < 1 or self.test_per_class < 1:
             raise ValueError("n_per_class and test_per_class must be positive")
         elif self.classes < 2:

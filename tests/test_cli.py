@@ -595,6 +595,16 @@ class TestConfigAndDataBoundaries:
         assert "must be a finite number" in err
         assert not out.exists()
 
+    def test_idx_path_under_blobs_fails_before_any_output(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["run", "--config", config_path, "--out", str(out), "--set", "dataset.images=train-images"]
+        assert main(args) == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == (
+            "error[CONFIG_INVALID]: dataset: images, labels, test_images and test_labels "
+            "only apply when kind is 'idx'\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_blob_draw_fails_before_any_output(self, config_path, tmp_path, capsys):
         out = tmp_path / "o"
@@ -1025,3 +1035,69 @@ class TestParallelSeeds:
         assert [r["seed"] for r in read_summary(out)["runs"]] == [1]
         assert (out / "metrics.csv").is_file()
         assert len((out / "run.log").read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("death, code", [("exit", 3), ("kill", -9)])
+    def test_helper_gone_part_way_through_sending_a_run_is_a_program_error_after_the_runs_before_it(
+        self, tmp_path, death, code
+    ):
+        # a subprocess with a timeout, so a command that waits forever on the half-sent run fails the test
+        out, marks = tmp_path / "o", tmp_path / "marks"
+        marks.mkdir()
+        root = Path(__file__).resolve().parents[1]
+        pair40 = str(root / "configs" / "pair40.yaml")
+        args = ["run", "--config", pair40, "--out", str(out), "--seeds", "1,2,3,4", *DUMPS]
+        for override in ("train.hidden=[8]", "dataset.n_per_class=20", "dataset.test_per_class=5"):
+            args += ["--set", override]
+        completed = subprocess.run(
+            [sys.executable, "-c", HALF_SENT_RUN, str(marks), death, *args],
+            env={**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert int((marks / "seed-2-bytes").read_text()) > 2**16  # more than a pipe holds
+        assert completed.returncode == 1
+        lines = completed.stderr.splitlines()
+        assert "children left: 0" in lines
+        assert lines[-1] == f"RuntimeError: helper exited with code {code} before sending its run"
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"1"}
+        assert [r["seed"] for r in read_summary(out)["runs"]] == [1]
+        assert [line.split()[2] for line in (out / "run.log").read_text().splitlines()] == ["seed=1"]
+        assert [p.name for p in (out / "penalty_labels").iterdir()] == ["all-stacked-lam1.0-seed1.npy"]
+
+
+# Dealt [[0, 2], [1, 3]] on 2 CPUs: the helper trains seeds 2 and 4. Seed 2's run fills the pipe while
+# the command trains seeds 1 and 3, and the helper dies in seed 4 with the rest of seed 2's run unsent.
+HALF_SENT_RUN = """
+import multiprocessing, os, pickle, signal, sys, time
+from pathlib import Path
+from noisylab import cli
+
+marks, death, args = Path(sys.argv[1]), sys.argv[2], sys.argv[3:]
+run_experiment = cli.run_experiment
+cli.os.sched_getaffinity = lambda pid: {0, 1}
+
+
+def run(config, *a, **kw):
+    if config.seed == 3:  # the command reads no helper run before its share is trained
+        while not (marks / "dying").exists():
+            time.sleep(0.01)
+    if config.seed == 4:
+        time.sleep(0.5)  # the feeder thread writes what the pipe holds of seed 2's run
+        (marks / "dying").touch()
+        if death == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        os._exit(3)
+    result = run_experiment(config, *a, **kw)
+    if config.seed == 2:
+        (marks / "seed-2-bytes").write_text(str(len(pickle.dumps(result))))
+    return result
+
+
+cli.run_experiment = run
+try:
+    cli.main(args)
+finally:
+    print("children left:", len(multiprocessing.active_children()), file=sys.stderr)
+"""

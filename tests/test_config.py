@@ -188,6 +188,7 @@ seeds: [4, 5]
             build_config({"output": {"formats": []}})
         with pytest.raises(ConfigError, match=r"train.lr_milestones\[0\] must be a list of 2 items"):
             build_config({"train": {"lr_milestones": [[50]]}})
+        idx_only = "images, labels, test_images and test_labels only apply when kind is 'idx'"
         for dataset, message in [
             ({"kind": "csv"}, "kind must be 'blobs' or 'idx'"),
             ({"n_per_class": 0}, "n_per_class and test_per_class must be positive"),
@@ -195,6 +196,8 @@ seeds: [4, 5]
             ({"dim": 0}, "dim must be at least 1"),
             ({"separation": 0.0}, "separation and spread must be positive"),
             ({"spread": -0.1}, "separation and spread must be positive"),
+            ({"images": "x", "labels": "y", "test_images": "a", "test_labels": "b"}, idx_only),
+            ({"test_labels": "b"}, idx_only),
         ]:
             with pytest.raises(ConfigError, match=f"dataset: {message}"):
                 build_config({"dataset": dataset})
@@ -353,10 +356,16 @@ PATHS = st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1)
 MIXED = ["noise.kind=mixed"]
 IDX_PATHS = [f"dataset.{key}=f" for key in ("images", "labels", "test_images", "test_labels")]
 
+
+def idx_if_set(path):
+    """A path is valid under kind idx with the other three set; null, under the default blobs."""
+    return [] if path is None else ["dataset.kind=idx", *IDX_PATHS]
+
+
 # One strategy of valid values per scalar key, plus the overrides that make
-# the value valid in context.
+# the value valid in context, or a function of the value that gives them.
 SCALARS = {
-    "dataset.kind": (st.sampled_from(["blobs", "idx"]), IDX_PATHS),
+    "dataset.kind": (st.sampled_from(["blobs", "idx"]), lambda kind: IDX_PATHS if kind == "idx" else []),
     "dataset.n_per_class": (st.integers(1, 10**6), []),
     "dataset.test_per_class": (st.integers(1, 10**6), []),
     "dataset.classes": (st.integers(2, 10**4), []),
@@ -364,10 +373,10 @@ SCALARS = {
     "dataset.separation": (numbers(0, exclude_low=True), []),
     "dataset.spread": (numbers(0, exclude_low=True), []),
     "dataset.seed": (st.integers(0, 2**63), []),
-    "dataset.images": (PATHS | st.none(), []),
-    "dataset.labels": (PATHS | st.none(), []),
-    "dataset.test_images": (PATHS | st.none(), []),
-    "dataset.test_labels": (PATHS | st.none(), []),
+    "dataset.images": (PATHS | st.none(), idx_if_set),
+    "dataset.labels": (PATHS | st.none(), idx_if_set),
+    "dataset.test_images": (PATHS | st.none(), idx_if_set),
+    "dataset.test_labels": (PATHS | st.none(), idx_if_set),
     "noise.kind": (st.sampled_from(["pair", "symmetry"]), []),
     "noise.epsilon": (numbers(0, 1, exclude_high=True), []),
     "noise.epsilon1": (numbers(0, 0.5), MIXED + ["noise.epsilon2=0.25"]),
@@ -403,6 +412,7 @@ def test_override_of_any_scalar_key_reaches_its_field(data):
     key = data.draw(st.sampled_from(sorted(SCALARS)))
     strategy, context = SCALARS[key]
     value = data.draw(strategy)
+    context = context(value) if callable(context) else context
     text = yaml.dump(value, Dumper=ConfigDumper).removesuffix("...\n").strip()
     config = build_config(apply_overrides({}, context + [f"{key}={text}"]))
     attrs, hint = yaml_keys()[key]
