@@ -21,7 +21,9 @@ from __future__ import annotations
 import argparse
 import multiprocessing
 import os
+import signal
 import sys
+import threading
 import time
 from contextlib import closing
 from dataclasses import replace
@@ -178,6 +180,8 @@ def _train(share: list[int], plan: list[TrainConfig], inputs: tuple):
 
 def _send(queue, runs) -> None:
     from multiprocessing.pool import ExceptionWithTraceback  # only helpers send, so only they pay for the import
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # so terminate() ends a helper at once, with no exit-time join
+    queue._reader.close()  # the command's death is then a broken pipe here, not a full one written to forever
     for elapsed, outcome in runs:
         if isinstance(outcome, Exception):  # it unpickles as the exception, the helper's traceback as its cause
             outcome = ExceptionWithTraceback(outcome, outcome.__traceback__)
@@ -246,7 +250,7 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
                 stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
                 counts = f"seed={cfg.seed} epochs={cfg.epochs} replayed={result.replayed}"
                 log_lines.append(f"{stamp} {run_id} {counts} {elapsed:.2f}s")
-                runs.append((run_id, list(result.records)))
+                runs.append(((run_id, cfg.seed, cfg.criteria.variant.value, cfg.criteria.lam), result.records))
                 if config.output.dump_penalty_labels:  # row e of the array is the estimate made at the end of epoch e
                     (out_dir / "penalty_labels").mkdir(parents=True, exist_ok=True)
                     history = np.stack([estimate.labels for estimate in result.penalty_history])
@@ -265,6 +269,9 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    on_main_thread = threading.current_thread() is threading.main_thread()  # only it may set a signal handler
+    if on_main_thread:  # SIGTERM unwinds like SystemExit, so execute files the runs that finished
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         execute(args, _load_config(args))
     except tuple(_FAILURES) as exc:
@@ -272,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         # one line per failure, even for a multi-line parser report
         print(f"error[{code}]: " + str(exc).replace("\n", " "), file=sys.stderr)
         return status
+    finally:
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous)
     return EXIT_OK
 
 

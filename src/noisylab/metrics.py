@@ -29,13 +29,10 @@ class EpochStats:
 
 @dataclass(frozen=True)
 class RunRecord(EpochStats):
-    """Everything recorded about one epoch of one run."""
+    """One epoch's tallies and test error; the runs that replay the epoch share it."""
 
     epoch: int
     test_error: float
-    lam: float
-    seed: int
-    variant: str
 
 
 def test_error(predictions: np.ndarray, true_labels: np.ndarray) -> float:
@@ -70,24 +67,16 @@ def mean_and_se(values: Sequence[float]) -> tuple[float, float | None]:
     return mean, float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-# The fixed metrics.csv columns after run_id, each with the RunRecord field it holds.
-_COLUMNS = {
-    "seed": "seed",
-    "variant": "variant",
-    "lambda": "lam",
-    "epoch": "epoch",
-    "train_selected": "train_selected",
-    "precision": "precision",
-    "test_error": "test_error",
-}
-_fixed_cells = attrgetter(*_COLUMNS.values())
+_RECORD_COLUMNS = ("epoch", "train_selected", "precision", "test_error")  # in metrics.csv after the run's four
+_record_cells = attrgetter(*_RECORD_COLUMNS)
+Run = tuple[tuple[str, int, str, float], Sequence[RunRecord]]  # ((run_id, seed, variant, lambda), its records)
 
 
 def metrics_header(k: int) -> list[str]:
-    return ["run_id", *_COLUMNS, *(f"selected_class_{c}" for c in range(k))]
+    return ["run_id", "seed", "variant", "lambda", *_RECORD_COLUMNS, *(f"selected_class_{c}" for c in range(k))]
 
 
-def write_metrics_csv(path: str | Path, runs: Iterable[tuple[str, Sequence[RunRecord]]]) -> None:
+def write_metrics_csv(path: str | Path, runs: Iterable[Run]) -> None:
     """Write all per-epoch records as one flat CSV.
 
     Rows are sorted by (run_id, seed, epoch) so the body is byte-identical
@@ -98,15 +87,15 @@ def write_metrics_csv(path: str | Path, runs: Iterable[tuple[str, Sequence[RunRe
     runs = list(runs)
     if not runs:
         raise ValueError("no runs to write")
-    flat = [(run_id, rec) for run_id, records in runs for rec in records]
-    flat.sort(key=lambda item: (item[0], item[1].seed, item[1].epoch))
+    flat = [(run, rec) for run, records in runs for rec in records]
+    flat.sort(key=lambda item: (item[0][:2], item[1].epoch))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(metrics_header(len(runs[0][1][0].selected_per_class)))
-        writer.writerows([run_id, *_fixed_cells(rec), *rec.selected_per_class] for run_id, rec in flat)
+        writer.writerows([*run, *_record_cells(rec), *rec.selected_per_class] for run, rec in flat)
 
 
-def summarize_runs(runs: Iterable[tuple[str, Sequence[RunRecord]]]) -> dict:
+def summarize_runs(runs: Iterable[Run]) -> dict:
     """Best and final figures per run, plus per-run-id aggregates.
 
     The headline statistic is the best (minimum) test error over epochs. A
@@ -114,14 +103,14 @@ def summarize_runs(runs: Iterable[tuple[str, Sequence[RunRecord]]]) -> dict:
     lambda from the last of them.
     """
     per_run = []
-    for run_id, records in runs:
+    for (run_id, seed, variant, lam), records in runs:
         final = records[-1]
         per_run.append(
             {
                 "run_id": run_id,
-                "seed": final.seed,
-                "variant": final.variant,
-                "lambda": final.lam,
+                "seed": seed,
+                "variant": variant,
+                "lambda": lam,
                 "best_test_error": min(r.test_error for r in records),
                 "final_test_error": final.test_error,
                 "final_precision": final.precision,

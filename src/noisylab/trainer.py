@@ -292,7 +292,7 @@ class EpochCache:
         keys = [(epoch_key(c, e), c.penalty_update) for c in plan for e in range(c.epochs)]
         self.users = Counter(keys)  # planned runs per epoch key and update strategy
         self.readers = Counter(key for key, _ in keys)  # planned runs yet to reach each epoch key
-        self.found: dict = {}  # key -> the stats, test error, estimates and weights its epoch left
+        self.found: dict = {}  # key -> the record, estimates and weights its epoch left
 
 
 def deal(plan: list[TrainConfig], teams: int, threads: int) -> list[list[int]]:
@@ -363,7 +363,7 @@ def run_experiment(
     for epoch in range(config.epochs):
         key = epoch_key(config, epoch)
         if key in found:  # an earlier run trained it alike
-            replayed, (stats, error, estimates, weights) = replayed + 1, found[key]
+            replayed, (record, estimates, weights) = replayed + 1, found[key]
             state.penalty = estimates[config.penalty_update]
         else:
             if replayed == epoch > 0:  # the first epoch this run trains itself
@@ -374,23 +374,14 @@ def run_experiment(
             others = tuple(s for s in PenaltyUpdate if users[key, s] > (s is own))  # what other runs use
             stats = train_epoch(state, noisy, resolved, epoch, others)
             predictions = np.argmax(predict_in_chunks(state.net, test.features), axis=1)
-            error = test_error(predictions, test.true_labels)
+            record = RunRecord(**vars(stats), epoch=epoch, test_error=test_error(predictions, test.true_labels))
             if others:  # keep the weights if some of its runs part from this one after it, to train a later epoch
                 parting = epoch + 1 < config.epochs and readers[epoch_key(config, epoch + 1)] < readers[key]
                 kept = (state.net.params.copy(), state.opt.velocity.copy()) if parting else None
-                found[key] = (stats, error, {s: state.estimates[s] for s in others}, kept)
+                found[key] = (record, {s: state.estimates[s] for s in others}, kept)
         readers[key] -= 1
         if not readers[key]:
             found.pop(key, None)
         history.append(state.penalty)
-        records.append(
-            RunRecord(
-                **vars(stats),
-                epoch=epoch,
-                test_error=error,
-                lam=config.criteria.lam,
-                seed=config.seed,
-                variant=config.criteria.variant.value,
-            )
-        )
+        records.append(record)  # a replayed epoch's record is the object the run that trained it made
     return RunResult(tuple(records), tuple(history), replayed)

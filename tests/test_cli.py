@@ -1,9 +1,11 @@
 """Command-line behavior: outputs, overrides, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import multiprocessing
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -260,6 +262,38 @@ class TestSweepAndCompare:
             ("ol-repredict", "replayed=2"),
             ("all-stacked", "replayed=1"),
             ("all-repredict", "replayed=1"),
+        ]
+
+    def test_replayed_epochs_are_filed_under_their_own_runs_seed_variant_and_lambda(self, tmp_path, monkeypatch):
+        # on one trainer all-stacked replays ol-stacked's 3 warm-up epochs, and the two runs share their records
+        pin_trainers(monkeypatch, 1)
+        out = tmp_path / "out"
+        args = ["compare", "--config", QUICK, "--out", str(out), "--variants", "ol,all", "--seeds", "2,1"]
+        assert main([*args, "--set", "train.criteria.lambda=0.5"]) == EXIT_OK
+        lines = [line.split() for line in (out / "run.log").read_text().splitlines()]
+        assert [(fields[1], fields[2], fields[4]) for fields in lines] == [
+            ("ol-stacked", "seed=2", "replayed=0"),
+            ("ol-stacked", "seed=1", "replayed=0"),
+            ("all-stacked", "seed=2", "replayed=3"),
+            ("all-stacked", "seed=1", "replayed=3"),
+        ]
+        rows = [row.split(",")[:5] for row in (out / "metrics.csv").read_text().splitlines()[1:]]
+        assert rows == [
+            [f"{variant}-stacked", seed, variant, "0.5", str(epoch)]
+            for variant in ("all", "ol")
+            for seed in ("1", "2")
+            for epoch in range(10)
+        ]
+        summary = read_summary(out)
+        assert [(r["run_id"], r["seed"], r["variant"], r["lambda"]) for r in summary["runs"]] == [
+            ("all-stacked", 1, "all", 0.5),
+            ("all-stacked", 2, "all", 0.5),
+            ("ol-stacked", 1, "ol", 0.5),
+            ("ol-stacked", 2, "ol", 0.5),
+        ]
+        assert [(g["run_id"], g["variant"], g["lambda"]) for g in summary["groups"]] == [
+            ("all-stacked", "all", 0.5),
+            ("ol-stacked", "ol", 0.5),
         ]
 
     def test_pl_sweep_replays_whole_runs_across_lambdas(self, config_path, tmp_path):
@@ -1101,3 +1135,110 @@ try:
 finally:
     print("children left:", len(multiprocessing.active_children()), file=sys.stderr)
 """
+
+
+# Seed 2's trainer leaves a file named by its pid, then waits for a "go" file before it trains.
+SIGNALLED_RUN = """
+import multiprocessing, os, pickle, sys, time
+from pathlib import Path
+from noisylab import cli
+
+marks, cpus, args = Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3:]
+run_experiment = cli.run_experiment
+cli.os.sched_getaffinity = lambda pid: set(range(cpus))
+
+
+def run(config, *a, **kw):
+    if config.seed == 2:
+        (marks / f"seed-2-trainer-{os.getpid()}").touch()
+        while not (marks / "go").exists():
+            time.sleep(0.01)
+    result = run_experiment(config, *a, **kw)
+    if config.seed == 2:
+        (marks / "seed-2-bytes").write_text(str(len(pickle.dumps(result))))
+    return result
+
+
+cli.run_experiment = run
+try:
+    sys.exit(cli.main(args))
+finally:
+    print("children left:", len(multiprocessing.active_children()), file=sys.stderr)
+"""
+
+
+def kill_if_there(pid):
+    with contextlib.suppress(ProcessLookupError):
+        os.kill(pid, signal.SIGKILL)
+
+
+def running(pid):
+    """Whether ``pid`` runs; a zombie, dead but not yet reaped by the process it was handed to, does not."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+class TestSignals:
+    """A signalled command files the runs it finished, and leaves no helper training or blocked behind it."""
+
+    def start(self, tmp_path, cpus):
+        """Start ``run --seeds 1,2`` on ``cpus`` CPUs; once seed 1 is filed, return it and seed 2's trainer pid."""
+        marks, out = tmp_path / "marks", tmp_path / "o"
+        marks.mkdir()
+        root = Path(__file__).resolve().parents[1]
+        args = ["run", "--config", str(root / "configs" / "pair40.yaml"), "--out", str(out), "--seeds", "1,2", *DUMPS]
+        for override in ("train.hidden=[8]", "dataset.n_per_class=20", "dataset.test_per_class=5"):
+            args += ["--set", override]
+        with open(tmp_path / "stderr", "w") as stderr:  # a file, which a helper left behind cannot hold open
+            command = subprocess.Popen(
+                [sys.executable, "-c", SIGNALLED_RUN, str(marks), str(cpus), *args],
+                env={**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"},
+                stdout=subprocess.DEVNULL,
+                stderr=stderr,
+            )
+        self.cleanup.append(command.kill)  # does nothing once the command is reaped
+        wait_for(out / "penalty_labels" / "all-stacked-lam1.0-seed1.npy")
+        deadline = time.monotonic() + 60
+        while not (found := list(marks.glob("seed-2-trainer-*"))):
+            assert time.monotonic() < deadline, "seed 2 never started"
+            time.sleep(0.01)
+        pid = int(found[0].name.rsplit("-", 1)[1])
+        if pid != command.pid:  # a helper: killed at the end of the test, should it outlive the command
+            self.cleanup.append(lambda: running(pid) and kill_if_there(pid))
+        return command, pid
+
+    @pytest.fixture(autouse=True)
+    def kill_leftovers(self):
+        self.cleanup = []
+        yield
+        for kill in self.cleanup:
+            kill()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_sigterm_files_the_finished_runs_and_ends_the_helper(self, tmp_path, cpus):
+        command, trainer = self.start(tmp_path, cpus)
+        assert (trainer == command.pid) == (cpus == 1)
+        command.send_signal(signal.SIGTERM)
+        assert command.wait(timeout=60) == 128 + signal.SIGTERM
+        assert not running(trainer)
+        assert "children left: 0" in (tmp_path / "stderr").read_text().splitlines()
+        out = tmp_path / "o"
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"1"}
+        assert [r["seed"] for r in read_summary(out)["runs"]] == [1]
+        assert [line.split()[2] for line in (out / "run.log").read_text().splitlines()] == ["seed=1"]
+
+    def test_a_helper_whose_command_was_killed_exits_once_its_share_is_trained(self, tmp_path):
+        command, helper = self.start(tmp_path, 2)
+        assert helper != command.pid
+        command.kill()
+        assert command.wait(timeout=60) == -signal.SIGKILL
+        (tmp_path / "marks" / "go").touch()  # the helper trains seed 2 and sends it to a pipe no one reads
+        deadline = time.monotonic() + 30
+        while running(helper):
+            assert time.monotonic() < deadline, "the helper outlived its command"
+            time.sleep(0.05)
+        assert int((tmp_path / "marks" / "seed-2-bytes").read_text()) > 2**16  # more than a pipe holds

@@ -17,17 +17,18 @@ from noisylab.metrics import (
 )
 
 
-def record(epoch, err, precision=None, seed=1, variant="all", lam=1.0, selected=(2, 1)):
+def record(epoch, err, precision=None, selected=(2, 1)):
     return RunRecord(
         epoch=epoch,
         test_error=err,
         precision=precision,
         train_selected=sum(selected),
         selected_per_class=tuple(selected),
-        lam=lam,
-        seed=seed,
-        variant=variant,
     )
+
+
+def run(run_id, records, seed=1, variant="all", lam=1.0):
+    return (run_id, seed, variant, lam), records
 
 
 class TestScalars:
@@ -84,7 +85,7 @@ class TestMetricsCsv:
 
     def test_body_content_and_blank_precision(self, tmp_path):
         path = tmp_path / "metrics.csv"
-        runs = [("all-stacked", [record(0, 0.25, None), record(1, 0.125, 0.75)])]
+        runs = [run("all-stacked", [record(0, 0.25, None), record(1, 0.125, 0.75)])]
         write_metrics_csv(path, runs)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("run_id,seed,variant")
@@ -94,14 +95,14 @@ class TestMetricsCsv:
     def test_rows_sorted_regardless_of_input_order(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        r1 = ("ol", [record(0, 0.3, seed=2, variant="ol")])
-        r2 = ("all", [record(0, 0.2, seed=1)])
+        r1 = run("ol", [record(0, 0.3)], seed=2, variant="ol")
+        r2 = run("all", [record(0, 0.2)], seed=1)
         write_metrics_csv(a, [r1, r2])
         write_metrics_csv(b, [r2, r1])
         assert a.read_bytes() == b.read_bytes()
 
     def test_byte_identical_across_calls(self, tmp_path):
-        runs = [("run", [record(e, 0.5 / (e + 1), 0.9) for e in range(5)])]
+        runs = [run("run", [record(e, 0.5 / (e + 1), 0.9) for e in range(5)])]
         p1 = tmp_path / "one.csv"
         p2 = tmp_path / "two.csv"
         write_metrics_csv(p1, runs)
@@ -127,6 +128,12 @@ class TestMetricsCsv:
         runs = []
         for _ in range(data.draw(st.integers(1, 3))):
             run_id = data.draw(st.text("abcxyz019-.", min_size=1, max_size=12))
+            identity = (
+                run_id,
+                data.draw(st.integers(0, 2**31)),
+                data.draw(st.sampled_from(["none", "ol", "pl", "all"])),
+                data.draw(floats),
+            )
             records = [
                 RunRecord(
                     epoch=data.draw(st.integers(0, 200)),
@@ -134,22 +141,18 @@ class TestMetricsCsv:
                     precision=data.draw(st.none() | floats),
                     train_selected=data.draw(st.integers(0, 10**6)),
                     selected_per_class=tuple(data.draw(st.lists(st.integers(0, 999), min_size=k, max_size=k))),
-                    lam=data.draw(floats),
-                    seed=data.draw(st.integers(0, 2**31)),
-                    variant=data.draw(st.sampled_from(["none", "ol", "pl", "all"])),
                 )
                 for _ in range(data.draw(st.integers(1, 3)))
             ]
-            runs.append((run_id, records))
+            runs.append((identity, records))
         path = tmp_path_factory.mktemp("csv") / "metrics.csv"
         write_metrics_csv(path, runs)
         expected = [
             ",".join(
                 cell(c)
-                for c in (run_id, r.seed, r.variant, r.lam, r.epoch, r.train_selected, r.precision, r.test_error)
-                + r.selected_per_class
+                for c in (*identity, r.epoch, r.train_selected, r.precision, r.test_error) + r.selected_per_class
             )
-            for run_id, records in runs
+            for identity, records in runs
             for r in records
         ]
         body = path.read_bytes().decode("utf-8")
@@ -160,8 +163,8 @@ class TestMetricsCsv:
 class TestSummary:
     def test_best_and_final(self):
         runs = [
-            ("all", [record(0, 0.4, None), record(1, 0.1, 0.9), record(2, 0.2, 0.8)]),
-            ("all", [record(0, 0.5, None, seed=2), record(1, 0.3, 0.7, seed=2), record(2, 0.3, 0.7, seed=2)]),
+            run("all", [record(0, 0.4, None), record(1, 0.1, 0.9), record(2, 0.2, 0.8)]),
+            run("all", [record(0, 0.5, None), record(1, 0.3, 0.7), record(2, 0.3, 0.7)], seed=2),
         ]
         summary = summarize_runs(runs)
         assert summary["runs"][0]["best_test_error"] == pytest.approx(0.1)
@@ -174,14 +177,14 @@ class TestSummary:
     def test_group_aggregates_in_input_order(self):
         # the standard error's last bit depends on summation order
         errors = {3: 0.7, 1: 0.1, 2: 0.2}
-        runs = [("all", [record(0, err, 0.9, seed=seed)]) for seed, err in errors.items()]
+        runs = [run("all", [record(0, err, 0.9)], seed=seed) for seed, err in errors.items()]
         (group,) = summarize_runs(runs)["groups"]
         assert group["best_test_error_se"] == mean_and_se([0.7, 0.1, 0.2])[1]
         assert group["best_test_error_se"] == 0.18559214542766742
         assert [r["seed"] for r in summarize_runs(runs)["runs"]] == [1, 2, 3]
 
     def test_json_writer_is_deterministic(self, tmp_path):
-        summary = summarize_runs([("run", [record(0, 0.3, 0.9)])])
+        summary = summarize_runs([run("run", [record(0, 0.3, 0.9)])])
         p1 = tmp_path / "one.json"
         p2 = tmp_path / "two.json"
         write_summary_json(p1, summary)

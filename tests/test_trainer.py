@@ -401,7 +401,6 @@ class TestRunExperiment:
         assert [p.epoch_of_estimate for p in a.penalty_history] == [0, 1, 2, 3]
         assert a.records[0].precision is None
         assert a.records[3].precision is not None
-        assert a.records[3].variant == "all"
         assert a.best_test_error == min(r.test_error for r in a.records)
         assert a.final is a.records[-1]
 
@@ -602,11 +601,12 @@ class TestEpochCache:
         ol = small_config(criteria=CriteriaConfig(Variant.OL))
         plan = [ol, replace(ol, penalty_update=PenaltyUpdate.REPREDICT)]
         cache = EpochCache(plan, train, test, spec)
-        run_experiment(plan[0], train, test, spec, cache)
+        first = run_experiment(plan[0], train, test, spec, cache)
         assert len(cache.found) == ol.epochs
         assert [weights for *_, weights in cache.found.values()] == [None] * ol.epochs
         second = run_experiment(plan[1], train, test, spec, cache)
         assert second.replayed == ol.epochs
+        assert all(b is a for a, b in zip(first.records, second.records, strict=True))  # the epoch's own record
         assert second.records == run_experiment(plan[1], train, test, spec).records
 
     @pytest.mark.parametrize("other", ["train", "test", "spec"])
