@@ -7,9 +7,9 @@ Commands:
 * ``compare``: cartesian product of selection variants and penalty update
   strategies, shared seeds and shared corruption.
 
-All commands write ``metrics.csv`` and/or ``summary.json`` into the output
-directory. Those files carry no timestamps, so reruns with the same config
-produce byte-identical bodies; wall-clock times go to ``run.log`` instead.
+All commands write ``metrics.csv``, ``summary.json`` and ``run.log`` into the
+output directory. The first two carry no timestamps, so reruns with the same
+config produce byte-identical bodies; wall-clock times go to ``run.log``.
 
 Each expected failure prints one line ``error[CODE]: message`` to stderr and
 exits nonzero: 2 usage, 3 config parse, 4 invalid config or data, 5 numerical
@@ -69,8 +69,13 @@ _FAILURES = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # argparse's own usage errors keep the one-line error contract too
+        self.exit(EXIT_USAGE, f"error[USAGE]: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noisylab",
         description="Train small classifiers under label noise with sample selection.",
     )
@@ -259,10 +264,8 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
         # a failing run still leaves the files of the runs that finished before it
         if runs:
             out_dir.mkdir(parents=True, exist_ok=True)
-            if "csv" in config.output.formats:
-                write_metrics_csv(out_dir / "metrics.csv", runs)
-            if "json" in config.output.formats:
-                write_summary_json(out_dir / "summary.json", summarize_runs(runs))
+            write_metrics_csv(out_dir / "metrics.csv", runs)
+            write_summary_json(out_dir / "summary.json", summarize_runs(runs))
             (out_dir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8", newline="\n")
     return out_dir
 

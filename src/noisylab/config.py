@@ -23,8 +23,6 @@ from .data import LabeledDataset, load_idx, make_blobs
 from .noise import NoiseSpec
 from .trainer import TrainConfig
 
-KNOWN_FORMATS = ("csv", "json")
-
 
 class ConfigParseError(ValueError):
     """The config file or an override could not be read at all."""
@@ -144,15 +142,7 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    formats: tuple[str, ...] = KNOWN_FORMATS
     dump_penalty_labels: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.formats:
-            raise ValueError("formats must be a non-empty list")
-        for fmt in self.formats:
-            if fmt not in KNOWN_FORMATS:
-                raise ValueError(f"formats entry '{fmt}' is not one of {KNOWN_FORMATS}")
 
 
 @dataclass(frozen=True)

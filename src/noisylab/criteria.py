@@ -107,11 +107,11 @@ class PenaltyLabelSet:
         k = labels.shape[0]
         if labels.shape != (k, k):
             raise ValueError("penalty labels must be square")
-        if np.any(np.abs(np.diagonal(labels)) > 0.0):
+        if not np.all(np.diagonal(labels) == 0.0):  # NaN fails these too
             raise ValueError("penalty labels must be zero on the own class")
-        if np.any(labels < 0.0):
+        if not np.all(labels >= 0.0):
             raise ValueError("penalty labels must be non-negative")
-        if np.any(np.abs(labels.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+        if not np.all(np.abs(labels.sum(axis=1) - 1.0) <= ROW_SUM_TOL):
             raise ValueError("penalty label rows must sum to 1")
 
     @classmethod

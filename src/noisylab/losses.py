@@ -31,11 +31,11 @@ class SlConfig:
     log_zero_clamp: float = -4.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # NaN fails these too
             raise ValueError("alpha must be non-negative")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("beta must be non-negative")
-        if self.log_zero_clamp >= 0:
+        if not self.log_zero_clamp < 0:
             raise ValueError("log_zero_clamp must be negative")
 
 

@@ -43,9 +43,9 @@ class LrSchedule:
     milestones: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        if self.initial <= 0:
+        if not self.initial > 0:  # NaN fails these too
             raise ValueError("initial learning rate must be positive")
-        if any(factor <= 0 for _, factor in self.milestones):
+        if not all(factor > 0 for _, factor in self.milestones):
             raise ValueError("learning rate milestone factors must be positive")
         if any(epoch < 0 for epoch, _ in self.milestones):
             raise ValueError("learning rate milestone epochs must be non-negative")

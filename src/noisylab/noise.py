@@ -51,12 +51,12 @@ class NoiseSpec:
         if self.kind is NoiseKind.MIXED:
             if self.epsilon1 is None or self.epsilon2 is None:
                 raise ValueError("mixed noise requires epsilon1 and epsilon2")
-            if self.epsilon1 < 0 or self.epsilon2 < 0:
+            if not (self.epsilon1 >= 0 and self.epsilon2 >= 0):  # NaN fails this too
                 raise ValueError("epsilon1 and epsilon2 must be non-negative")
             total = self.epsilon1 + self.epsilon2
             if self.epsilon is None:
                 object.__setattr__(self, "epsilon", total)
-            elif abs(self.epsilon - total) > ROW_SUM_TOL:
+            elif not abs(self.epsilon - total) <= ROW_SUM_TOL:
                 raise ValueError("epsilon must equal epsilon1 + epsilon2")
         else:
             if self.epsilon is None:
@@ -96,7 +96,6 @@ def build_transition(spec: NoiseSpec, k: int) -> np.ndarray:
         matrix[:] = spec.epsilon2 / (k - 2)
         matrix[rows, rows] = 1.0 - eps
         matrix[rows, (rows + 1) % k] = spec.epsilon1
-    assert np.all(np.abs(matrix.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
     return matrix
 
 
@@ -113,7 +112,7 @@ def corrupt_labels(dataset: LabeledDataset, matrix: np.ndarray, seed: SeedLike) 
     k = dataset.k
     if matrix.shape != (k, k):
         raise ValueError("transition matrix shape must match the dataset's class count")
-    if np.any(matrix < 0) or np.any(np.abs(matrix.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+    if not (np.all(matrix >= 0) and np.all(np.abs(matrix.sum(axis=1) - 1.0) <= ROW_SUM_TOL)):  # NaN fails this too
         raise ValueError("transition matrix rows must be non-negative and sum to 1")
 
     cumulative = np.cumsum(matrix, axis=1)

@@ -137,23 +137,6 @@ class TestRunCommand:
         assert [r["seed"] for r in summary["runs"]] == [5, 6]
         assert summary["groups"][0]["trials"] == 2
 
-    def test_formats_limit_outputs(self, config_path, tmp_path):
-        out = tmp_path / "out"
-        main(
-            [
-                "run",
-                "--config",
-                config_path,
-                "--out",
-                str(out),
-                "--set",
-                "output.formats=[json]",
-            ]
-        )
-        assert not (out / "metrics.csv").exists()
-        assert (out / "summary.json").exists()
-        assert (out / "run.log").exists()
-
     @pytest.mark.parametrize(
         "command, config, run_ids, shape",
         [
@@ -208,6 +191,25 @@ class TestOutputDir:
         assert capsys.readouterr().err == "error[CONFIG_INVALID]: unknown key output.dir\n"
         assert not out.exists()
         assert not (tmp_path / "x").exists()
+
+    def test_output_formats_is_not_a_config_key(self, config_path, tmp_path, capsys):
+        # every command writes metrics.csv, summary.json and run.log together
+        out = tmp_path / "o"
+        args = ["run", "--config", config_path, "--out", str(out), "--set", "output.formats=[csv]"]
+        assert main(args) == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == "error[CONFIG_INVALID]: unknown key output.formats\n"
+        assert not out.exists()
+
+    def test_a_reused_out_holds_only_the_new_commands_runs(self, config_path, tmp_path):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["sweep-lambda", "--config", config_path, "--out", str(reused), "--lambdas", "0.5,2"]) == EXIT_OK
+        assert "all-lam0.5" in (reused / "metrics.csv").read_text()
+        for out in (reused, fresh):
+            assert main(["run", "--config", config_path, "--out", str(out)]) == EXIT_OK
+        for name in ("metrics.csv", "summary.json"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        # a run.log line reads: stamp run_id seed= epochs= replayed= elapsed
+        assert [line.split()[1] for line in (reused / "run.log").read_text().splitlines()] == ["all-stacked-lam1.0"]
 
 
 class TestSweepAndCompare:
@@ -354,6 +356,20 @@ class TestFailureExits:
             main(["run"])
         assert excinfo.value.code == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["run"], ["run", "--config", "x.yaml", "--bogus"], ["compare", "--config", "x.yaml", "--variants"]],
+        ids=["no-command", "no-config", "unknown-flag", "variants-without-value"],
+    )
+    def test_argparse_usage_error_is_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error[USAGE]: ")
+        assert err.endswith("\n") and len(err.splitlines()) == 1
 
     def test_bad_seed_list_is_usage(self, config_path, tmp_path, capsys):
         code = main(
