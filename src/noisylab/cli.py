@@ -46,7 +46,7 @@ from .config import (
 )
 from .metrics import summarize_runs, write_metrics_csv, write_summary_json
 from .network import NumericalFault
-from .noise import SYMMETRY_WARN_ABOVE, check_class_count
+from .noise import SYMMETRY_WARN_ABOVE, build_transition
 from .trainer import CriteriaConfig, EpochCache, PenaltyUpdate, TrainConfig, Variant, deal, run_experiment
 
 EXIT_OK = 0
@@ -237,7 +237,7 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
     plan = [(run_id, replace(cfg, seed=seed)) for run_id, cfg in _plan(args, config) for seed in config.seeds]
     train_clean, test = make_datasets(config.dataset)
     try:
-        check_class_count(config.noise, train_clean.k)
+        build_transition(config.noise, train_clean.k)
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
     out_dir = Path(args.out or "results")  # made when the first file is written

@@ -124,6 +124,9 @@ class DatasetConfig:
             for key in paths:
                 if not getattr(self, key):
                     raise ValueError(f"{key} is required when kind is 'idx'")
+            changed = [f.name for f in fields(self)[1:-4] if getattr(self, f.name) != f.default]  # the blob keys
+            if changed:  # else idx would ignore them
+                raise ValueError(f"{', '.join(changed)} only apply when kind is 'blobs'")
         elif self.kind != "blobs":
             raise ValueError(f"kind must be 'blobs' or 'idx', not '{self.kind}'")
         elif any(getattr(self, key) is not None for key in paths):  # else blobs would ignore them

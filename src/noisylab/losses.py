@@ -45,25 +45,21 @@ def ce_loss(confidences: np.ndarray, observed_onehot: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(p, PROB_FLOOR))
 
 
-def rce_loss(
-    confidences: np.ndarray, observed_onehot: np.ndarray, log_zero_clamp: float
-) -> np.ndarray:
-    """Reverse cross entropy with log 0 clamped to a finite constant.
+def rce_loss(confidences: np.ndarray, observed_onehot: np.ndarray, config: SlConfig) -> np.ndarray:
+    """Reverse cross entropy with log 0 clamped to ``config.log_zero_clamp``.
 
     Swapping the roles of prediction and one-hot label leaves
     |clamp| * (1 - p_observed): zero at full confidence on the observed
     class, and growing as mass leaks elsewhere.
     """
-    if log_zero_clamp >= 0:
-        raise ValueError("log_zero_clamp must be negative")
     p = criteria_ol(confidences, observed_onehot)
-    return -log_zero_clamp * (1.0 - p)
+    return -config.log_zero_clamp * (1.0 - p)
 
 
 def sl_loss(confidences: np.ndarray, observed_onehot: np.ndarray, config: SlConfig) -> np.ndarray:
     """Symmetric loss alpha * CE + beta * RCE."""
     return config.alpha * ce_loss(confidences, observed_onehot) + config.beta * rce_loss(
-        confidences, observed_onehot, config.log_zero_clamp
+        confidences, observed_onehot, config
     )
 
 

@@ -1,11 +1,11 @@
 """Label-noise transition matrices and seeded label corruption.
 
-Three noise families, all with diagonal 1 - epsilon:
+Row i of each family's matrix puts 1 - epsilon on the diagonal, one rate on
+the next class, (i+1) mod K, and one on each other class:
 
-* pair: the whole error mass epsilon lands on the next class, (i+1) mod K.
-* symmetry: epsilon is split evenly over the K-1 other classes.
-* mixed: a dominant share epsilon1 lands on the next class and the remaining
-  total epsilon2 is split evenly over the other K-2 classes.
+* pair: the whole error mass epsilon on the next class, 0 on the others.
+* symmetry: epsilon / (K-1) on each of the K-1 other classes.
+* mixed: a dominant epsilon1 on the next class, epsilon2 / (K-2) on the others.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ class NoiseSpec:
 
     For pair and symmetry only ``epsilon`` is used; left unset it means 0.0,
     clean labels. For mixed, ``epsilon1`` and ``epsilon2`` are required and
-    ``epsilon`` must equal their sum (it is filled in when omitted).
+    set ``epsilon`` to their sum; a given ``epsilon`` must match that sum to
+    within ``ROW_SUM_TOL`` and is then replaced by it.
     """
 
     kind: NoiseKind = NoiseKind.PAIR
@@ -54,10 +55,9 @@ class NoiseSpec:
             if not (self.epsilon1 >= 0 and self.epsilon2 >= 0):  # NaN fails this too
                 raise ValueError("epsilon1 and epsilon2 must be non-negative")
             total = self.epsilon1 + self.epsilon2
-            if self.epsilon is None:
-                object.__setattr__(self, "epsilon", total)
-            elif not abs(self.epsilon - total) <= ROW_SUM_TOL:
+            if self.epsilon is not None and not abs(self.epsilon - total) <= ROW_SUM_TOL:
                 raise ValueError("epsilon must equal epsilon1 + epsilon2")
+            object.__setattr__(self, "epsilon", total)  # the parts, not a given epsilon, set the diagonal
         else:
             if self.epsilon is None:
                 object.__setattr__(self, "epsilon", 0.0)
@@ -72,30 +72,22 @@ class NoiseSpec:
         return self.kind is NoiseKind.SYMMETRY and self.epsilon > SYMMETRY_WARN_ABOVE
 
 
-def check_class_count(spec: NoiseSpec, k: int) -> None:
-    """Raise ValueError unless the noise family can corrupt k classes."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if spec.kind is NoiseKind.MIXED and k == 2:
-        raise ValueError("mixed noise needs at least 3 classes")
-
-
 def build_transition(spec: NoiseSpec, k: int) -> np.ndarray:
     """K x K row-stochastic matrix; entry (i, j) = P(observed j | true i)."""
-    check_class_count(spec, k)
-    eps = float(spec.epsilon)
-    matrix = np.zeros((k, k), dtype=np.float64)
-    rows = np.arange(k)
+    if k < 2:
+        raise ValueError("k must be at least 2")
     if spec.kind is NoiseKind.PAIR:
-        matrix[rows, rows] = 1.0 - eps
-        matrix[rows, (rows + 1) % k] = eps
+        following, other = spec.epsilon, 0.0
     elif spec.kind is NoiseKind.SYMMETRY:
-        matrix[:] = eps / (k - 1)
-        matrix[rows, rows] = 1.0 - eps
+        following = other = spec.epsilon / (k - 1)
+    elif k == 2:
+        raise ValueError("mixed noise needs at least 3 classes")
     else:
-        matrix[:] = spec.epsilon2 / (k - 2)
-        matrix[rows, rows] = 1.0 - eps
-        matrix[rows, (rows + 1) % k] = spec.epsilon1
+        following, other = spec.epsilon1, spec.epsilon2 / (k - 2)
+    matrix = np.full((k, k), other, dtype=np.float64)
+    rows = np.arange(k)
+    matrix[rows, (rows + 1) % k] = following
+    matrix[rows, rows] = 1.0 - spec.epsilon
     return matrix
 
 

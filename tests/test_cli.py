@@ -726,6 +726,28 @@ class TestConfigAndDataBoundaries:
         assert "at least 3 classes" in err
         assert not out.exists()
 
+    def test_mixed_epsilon_within_tolerance_of_the_parts_trains_on_the_parts(self, tmp_path):
+        mixed = ["--set", "noise.kind=mixed", "--set", "noise.epsilon1=0.3", "--set", "noise.epsilon2=0.1"]
+        given, parts = tmp_path / "given", tmp_path / "parts"
+        args = ["run", "--config", QUICK, *mixed]
+        assert main([*args, "--out", str(given), "--set", "noise.epsilon=0.400000000001"]) == EXIT_OK
+        assert main([*args, "--out", str(parts)]) == EXIT_OK
+        assert (given / "metrics.csv").read_bytes() == (parts / "metrics.csv").read_bytes()
+
+    def test_blob_keys_under_idx_fail_before_any_output(self, config_path, tmp_path, capsys):
+        # the config sets n_per_class, test_per_class and classes; separation and spread hold their defaults
+        args = ["run", "--config", config_path, "--out", str(tmp_path / "o"), "--set", "dataset.kind=idx"]
+        for prefix in ("", "test_"):
+            images, labels = tmp_path / f"{prefix}images", tmp_path / f"{prefix}labels"
+            images.write_bytes(struct.pack(">IIII", IMAGES_MAGIC, 3, 2, 2) + bytes(12))
+            labels.write_bytes(struct.pack(">II", LABELS_MAGIC, 3) + bytes([0, 1, 2]))
+            args += ["--set", f"dataset.{prefix}images={images}", "--set", f"dataset.{prefix}labels={labels}"]
+        assert main(args) == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == (
+            "error[CONFIG_INVALID]: dataset: n_per_class, test_per_class, classes only apply when kind is 'blobs'\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("fault", ["missing", "bad magic"])
     def test_unreadable_idx_file_is_invalid_dataset(self, tmp_path, capsys, fault):
         images, labels = tmp_path / "images", tmp_path / "labels"

@@ -258,6 +258,13 @@ seeds: [4, 5]
         with pytest.raises(ConfigError):
             build_config({"dataset": {"kind": "idx"}})
 
+    def test_blob_keys_under_idx_are_rejected_unless_at_their_defaults(self):
+        idx = {"kind": "idx", "images": "i", "labels": "l", "test_images": "ti", "test_labels": "tl"}
+        with pytest.raises(ConfigError, match="^dataset: dim, seed only apply when kind is 'blobs'$"):
+            build_config({"dataset": {**idx, "seed": 8, "dim": 7}})
+        # a key set to its default cannot be told from an unset one
+        assert build_config({"dataset": {**idx, "classes": 10, "separation": 0.55}}).dataset.kind == "idx"
+
 
 class TestMakeDatasets:
     def test_blob_pair_disjoint_but_reproducible(self):

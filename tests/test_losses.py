@@ -47,23 +47,23 @@ class TestRceLoss:
     def test_uniform_ten_class(self):
         # p_observed = 0.1, so 4 * 0.9 = 3.6
         probs = np.full((1, 10), 0.1)
-        assert rce_loss(probs, onehot([3], 10), log_zero_clamp=-4.0)[0] == pytest.approx(3.6)
+        assert rce_loss(probs, onehot([3], 10), SlConfig(log_zero_clamp=-4.0))[0] == pytest.approx(3.6)
 
     def test_quarter_confidence(self):
         probs = np.array([[0.25, 0.75]])
-        assert rce_loss(probs, onehot([0], 2), log_zero_clamp=-4.0)[0] == pytest.approx(3.0)
+        assert rce_loss(probs, onehot([0], 2), SlConfig(log_zero_clamp=-4.0))[0] == pytest.approx(3.0)
 
     def test_full_confidence_is_zero(self):
         probs = np.array([[0.0, 1.0, 0.0]])
-        assert rce_loss(probs, onehot([1], 3), log_zero_clamp=-4.0)[0] == pytest.approx(0.0)
+        assert rce_loss(probs, onehot([1], 3), SlConfig(log_zero_clamp=-4.0))[0] == pytest.approx(0.0)
 
     def test_custom_clamp_scales_linearly(self):
         probs = np.array([[0.25, 0.75]])
-        assert rce_loss(probs, onehot([0], 2), log_zero_clamp=-2.0)[0] == pytest.approx(1.5)
+        assert rce_loss(probs, onehot([0], 2), SlConfig(log_zero_clamp=-2.0))[0] == pytest.approx(1.5)
 
     def test_rejects_nonnegative_clamp(self):
-        with pytest.raises(ValueError):
-            rce_loss(np.array([[0.5, 0.5]]), onehot([0], 2), log_zero_clamp=0.0)
+        with pytest.raises(ValueError, match="log_zero_clamp must be negative"):
+            SlConfig(log_zero_clamp=0.0)
 
 
 class TestSlLoss:

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from noisylab.data import LabeledDataset
-from noisylab.noise import NoiseKind, NoiseSpec, build_transition, corrupt_labels
+from noisylab.noise import ROW_SUM_TOL, NoiseKind, NoiseSpec, build_transition, corrupt_labels
 
 ROW_TOL = 1e-12
 
@@ -45,9 +45,9 @@ class TestBuildTransition:
 
     def test_symmetry_structure(self):
         matrix = build_transition(NoiseSpec("symmetry", 0.4), 5)
-        assert np.allclose(np.diag(matrix), 0.6)
+        assert np.all(np.diag(matrix) == 0.6)
         off = matrix[~np.eye(5, dtype=bool)]
-        assert np.allclose(off, 0.1)
+        assert np.all(off == 0.1)
 
     def test_mixed_dominant_row(self):
         # epsilon1 to the next class, the rest split over the other eight
@@ -108,6 +108,10 @@ class TestNoiseSpec:
     def test_mixed_epsilon_autofilled(self):
         spec = NoiseSpec("mixed", epsilon1=0.24, epsilon2=0.16)
         assert spec.epsilon == pytest.approx(0.4)
+
+    def test_mixed_epsilon_is_the_parts_sum_even_when_given(self):
+        spec = NoiseSpec("mixed", epsilon=0.400000000001, epsilon1=0.3, epsilon2=0.1)
+        assert spec.epsilon == 0.3 + 0.1
 
     def test_mixed_sum_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -219,3 +223,26 @@ class TestCorruptLabelsProperty:
         variance = n * matrix * (1.0 - matrix)
         bound = np.where(variance > 0, (6.0 + 6.0 * np.sqrt(1.0 + variance)) / n, 0.0)
         assert np.all(np.abs(empirical_transition(dataset, out) - matrix) <= bound)
+
+
+class TestBuildTransitionProperty:
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_every_accepted_spec_builds_a_matrix_that_corrupt_labels_accepts(self, data):
+        kind = data.draw(st.sampled_from(["pair", "symmetry", "mixed"]))
+        if kind == "mixed":
+            parts = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 1.0))
+            # a given epsilon may sit anywhere within the tolerance of the parts' sum, its edges included
+            offset = st.sampled_from([-ROW_SUM_TOL, ROW_SUM_TOL]) | st.floats(-ROW_SUM_TOL, ROW_SUM_TOL)
+            epsilon = st.none() | offset.map(lambda d: parts[0] + parts[1] + d)
+            rates = {"epsilon": data.draw(epsilon), "epsilon1": parts[0], "epsilon2": parts[1]}
+        else:
+            rates = {"epsilon": data.draw(st.floats(0.0, 1.0))}
+        try:
+            spec = NoiseSpec(kind, **rates)
+        except ValueError:
+            reject()
+        k = data.draw(st.integers(3, 12))
+        dataset = block_dataset(1, k)
+        corrupted = corrupt_labels(dataset, build_transition(spec, k), seed=0)
+        assert corrupted.observed_labels.shape == dataset.true_labels.shape

@@ -7,7 +7,8 @@ Runs each command in ``COMMANDS`` against this checkout's ``src/`` with one
 BLAS thread, writing its outputs to ``OUT_DIR/<name>``, then prints
 ``sha256  path`` (path relative to OUT_DIR) for every output file except
 ``run.log``, which holds wall-clock times. The set covers every command, the
-penalty-label dumps, unsorted seed lists, a dumping multi-seed compare whose
+penalty-label dumps, all three noise families (``quick-mixed`` builds the mixed
+matrix on blobs), unsorted seed lists, a dumping multi-seed compare whose
 seeds train in parallel (on two or more CPUs a forked helper trains seed 1,
 so runs arrive out of plan order), runs that share epochs (a shared warm-up
 trained by a repredict run, no warm-up, all warm-up, and whole ol and pl runs
@@ -25,16 +26,16 @@ trains the ol and all runs of ``quick-compare-sl``, ``quick-compare-warmup-0``
 and ``quick-compare-repredict-first`` (so the repredict-first warm-up is
 trained in both processes) and all-repredict in ``k100-compare-10-epochs``,
 and ``k100-compare`` trains each of its three chains in its own process. Only
-``quick-dumps``, ``quick-compare-warmup-10`` (one chain, all warm-up),
-idx784 and ``idx784-dumps`` train in one process. A run under ``taskset -c 0``
+``quick-dumps``, ``quick-mixed``, ``quick-compare-warmup-10`` (one chain, all
+warm-up), idx784 and ``idx784-dumps`` train in one process. A run under ``taskset -c 0``
 trains everything in one process and prints the same listing.
 
 After the hashes it prints one line ``exit N  name  'stderr'`` per command of
 ``failing_commands``, which covers exit codes 2 to 5: bad flag lists, a
 repeated list item, missing and malformed config files and overrides, a
-config file that repeats a key, invalid values, an impossible noise kind, a
-missing IDX file, a blob draw that overflows, a diverging run, and an output
-path or a penalty-label path that is a file. Their outputs go to a temporary
+config file that repeats a key, invalid values, an impossible noise kind, blob
+keys under ``kind: idx``, a missing IDX file, a blob draw that overflows, a
+diverging run, and an output path or a penalty-label path that is a file. Their outputs go to a temporary
 directory; in stderr that directory reads ``<tmp>`` and the checkout root
 ``<root>``, so two checkouts compare.
 
@@ -70,6 +71,10 @@ def commands(inputs: Path) -> dict[str, tuple[str, ...]]:
     }
     return {
         "quick-dumps": ("run", *QUICK, *DUMPS),
+        "quick-mixed": (
+            "run", *QUICK, *DUMPS, "--set", "noise.kind=mixed", "--set", "noise.epsilon1=0.3",
+            "--set", "noise.epsilon2=0.1",
+        ),
         "quick-seeds-3-1-2": ("run", *QUICK, "--seeds", "3,1,2"),
         "quick-sweep": ("sweep-lambda", *QUICK, "--lambdas", "0,0.5,1,2", "--seeds", "2,3,1"),
         "quick-compare-seeds-3-1-2": (
@@ -126,6 +131,10 @@ def failing_commands(tmp: Path) -> dict[str, tuple[str, ...]]:
             *run,
             *("--set", "dataset.classes=2", "--set", "noise.kind=mixed"),
             *("--set", "noise.epsilon1=0.3", "--set", "noise.epsilon2=0.1"),
+        ),
+        "blob-keys-under-idx": (
+            "run", "--config", str(idx), "--set", "dataset.classes=5", "--set", "dataset.n_per_class=3",
+            "--set", "dataset.dim=7", "--set", "dataset.separation=9.0",
         ),
         "missing-idx-file": ("run", "--config", str(idx)),
         "blob-overflow": (*run, "--set", "dataset.spread=1.0e+308"),
