@@ -19,7 +19,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .data import LabeledDataset, load_idx, make_blobs
+from .data import DatasetConfig, LabeledDataset, load_idx, make_blobs
 from .noise import NoiseSpec
 from .trainer import TrainConfig
 
@@ -94,53 +94,6 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
             node = child
         node[keys[-1]] = value
     return raw
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    """Synthetic blobs by default, or an IDX file quartet.
-
-    The default geometry keeps features near unit scale for the default
-    learning rate and leaves enough class overlap for selection quality
-    differences to show, while a clean-label run stays under 5% test error.
-    """
-
-    kind: str = "blobs"
-    n_per_class: int = 500
-    test_per_class: int = 100
-    classes: int = 10
-    dim: int = 2
-    separation: float = 0.55
-    spread: float = 0.11
-    seed: int = 7
-    images: str | None = None
-    labels: str | None = None
-    test_images: str | None = None
-    test_labels: str | None = None
-
-    def __post_init__(self) -> None:
-        paths = ("images", "labels", "test_images", "test_labels")
-        if self.kind == "idx":
-            for key in paths:
-                if not getattr(self, key):
-                    raise ValueError(f"{key} is required when kind is 'idx'")
-            changed = [f.name for f in fields(self)[1:-4] if getattr(self, f.name) != f.default]  # the blob keys
-            if changed:  # else idx would ignore them
-                raise ValueError(f"{', '.join(changed)} only apply when kind is 'blobs'")
-        elif self.kind != "blobs":
-            raise ValueError(f"kind must be 'blobs' or 'idx', not '{self.kind}'")
-        elif any(getattr(self, key) is not None for key in paths):  # else blobs would ignore them
-            raise ValueError("images, labels, test_images and test_labels only apply when kind is 'idx'")
-        elif self.n_per_class < 1 or self.test_per_class < 1:
-            raise ValueError("n_per_class and test_per_class must be positive")
-        elif self.classes < 2:
-            raise ValueError("classes must be at least 2")
-        elif self.dim < 1:
-            raise ValueError("dim must be at least 1")
-        elif self.separation <= 0 or self.spread <= 0:
-            raise ValueError("separation and spread must be positive")
-        elif self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -235,16 +188,12 @@ def build_config(raw: dict) -> ExperimentConfig:
 def make_datasets(cfg: DatasetConfig) -> tuple[LabeledDataset, LabeledDataset]:
     """Build the clean train/test pair described by the dataset section.
 
-    Blob train and test sets come from disjoint seed streams of the dataset
-    seed, so they are independent draws around the same centers. IDX train
-    and test sets share one class count, 1 + the largest label in either
-    file, so a class missing from one file still gets its head column.
+    IDX train and test sets share one class count, 1 + the largest label in
+    either file, so a class missing from one file still gets its head column.
     """
     try:
         if cfg.kind == "blobs":
-            blob = (cfg.classes, cfg.dim, cfg.separation, cfg.spread)
-            train = make_blobs(cfg.n_per_class, *blob, (cfg.seed, 0))
-            return train, make_blobs(cfg.test_per_class, *blob, (cfg.seed, 1))
+            return make_blobs(cfg)
         train = load_idx(cfg.images, cfg.labels)
         test = load_idx(cfg.test_images, cfg.test_labels)
     except (OSError, ValueError) as exc:
@@ -255,4 +204,6 @@ def make_datasets(cfg: DatasetConfig) -> tuple[LabeledDataset, LabeledDataset]:
             f"but test_images {cfg.test_images} have {test.d}"
         )
     k = max(train.k, test.k)
+    if k < 2:  # a dataset fault, which the noise check would otherwise report as its own
+        raise ConfigError(f"dataset: the IDX labels give {k} class, but classes must be at least 2")
     return replace(train, k=k), replace(test, k=k)

@@ -748,6 +748,21 @@ class TestConfigAndDataBoundaries:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_one_class_idx_quartet_is_a_dataset_error(self, tmp_path, capsys):
+        # every label is 0, so the files give one class: the dataset, not the noise, is at fault
+        args = ["run", "--config", QUICK, "--out", str(tmp_path / "o"), "--set", "dataset.kind=idx"]
+        args += ["--set=dataset.classes=10", "--set=dataset.n_per_class=500", "--set=dataset.test_per_class=100"]
+        for prefix in ("", "test_"):
+            images, labels = tmp_path / f"{prefix}images", tmp_path / f"{prefix}labels"
+            images.write_bytes(struct.pack(">IIII", IMAGES_MAGIC, 3, 2, 2) + bytes(12))
+            labels.write_bytes(struct.pack(">II", LABELS_MAGIC, 3) + bytes(3))
+            args += ["--set", f"dataset.{prefix}images={images}", "--set", f"dataset.{prefix}labels={labels}"]
+        assert main(args) == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == (
+            "error[CONFIG_INVALID]: dataset: the IDX labels give 1 class, but classes must be at least 2\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("fault", ["missing", "bad magic"])
     def test_unreadable_idx_file_is_invalid_dataset(self, tmp_path, capsys, fault):
         images, labels = tmp_path / "images", tmp_path / "labels"

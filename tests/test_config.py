@@ -191,6 +191,7 @@ seeds: [4, 5]
             ({"dim": 0}, "dim must be at least 1"),
             ({"separation": 0.0}, "separation and spread must be positive"),
             ({"spread": -0.1}, "separation and spread must be positive"),
+            ({"spread": 0.0}, "separation and spread must be positive"),
             ({"images": "x", "labels": "y", "test_images": "a", "test_labels": "b"}, idx_only),
             ({"test_labels": "b"}, idx_only),
         ]:

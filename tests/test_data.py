@@ -1,13 +1,16 @@
 """Blob generation, IDX loading, and epoch batch plans."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from noisylab.config import make_datasets
 from noisylab.data import (
     IMAGES_MAGIC,
     LABELS_MAGIC,
+    DatasetConfig,
     LabeledDataset,
     class_centers,
     epoch_batches,
@@ -66,48 +69,54 @@ class TestClassCenters:
         assert np.array_equal(centers, [[0.0], [4.0], [8.0]])
 
 
+def blobs(**geometry):
+    return make_blobs(DatasetConfig(**geometry))
+
+
 class TestMakeBlobs:
     def test_shapes_and_block_labels(self):
-        ds = make_blobs(20, 3, 5, 1.0, 0.1, seed=0)
-        assert ds.features.shape == (60, 5)
-        assert np.array_equal(ds.true_labels, np.repeat([0, 1, 2], 20))
-        assert np.array_equal(ds.observed_labels, ds.true_labels)
+        for ds, per_class in zip(blobs(n_per_class=20, test_per_class=4, classes=3, dim=5, seed=0), (20, 4)):
+            assert ds.features.shape == (3 * per_class, 5)
+            assert np.array_equal(ds.true_labels, np.repeat([0, 1, 2], per_class))
+            assert np.array_equal(ds.observed_labels, ds.true_labels)
 
     def test_deterministic_per_seed(self):
-        a = make_blobs(10, 4, 3, 1.0, 0.2, seed=9)
-        b = make_blobs(10, 4, 3, 1.0, 0.2, seed=9)
-        c = make_blobs(10, 4, 3, 1.0, 0.2, seed=10)
-        assert np.array_equal(a.features, b.features)
+        geometry = dict(n_per_class=10, test_per_class=10, classes=4, dim=3, separation=1.0, spread=0.2)
+        (a, a_test), (b, b_test) = blobs(**geometry, seed=9), blobs(**geometry, seed=9)
+        c, _ = blobs(**geometry, seed=10)
+        assert np.array_equal(a.features, b.features) and np.array_equal(a_test.features, b_test.features)
         assert not np.array_equal(a.features, c.features)
+        assert not np.array_equal(a.features, a_test.features)  # train and test are separate streams
 
     def test_tiny_spread_pins_points_to_centers(self):
-        ds = make_blobs(1, 2, 2, 10.0, 1e-9, seed=0)
-        assert np.allclose(ds.features, [[5.0, 0.0], [-5.0, 0.0]], atol=1e-6)
+        for ds in blobs(n_per_class=1, test_per_class=1, classes=2, separation=10.0, spread=1e-9, seed=0):
+            assert np.allclose(ds.features, [[5.0, 0.0], [-5.0, 0.0]], atol=1e-6)
 
     def test_separated_blobs_classified_by_nearest_center(self):
         # well separated clusters: nearest-center assignment recovers labels
-        ds = make_blobs(500, 10, 2, 6.0, 1.0, seed=7)
+        ds, _ = blobs(separation=6.0, spread=1.0)
         centers = class_centers(10, 2, 6.0)
         dists = np.linalg.norm(ds.features[:, None, :] - centers[None], axis=2)
         predicted = dists.argmin(axis=1)
         assert (predicted == ds.true_labels).mean() > 0.99
 
-    def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            make_blobs(0, 3, 2, 1.0, 0.1, seed=0)
-        with pytest.raises(ValueError):
-            make_blobs(5, 1, 2, 1.0, 0.1, seed=0)
-        with pytest.raises(ValueError):
-            make_blobs(5, 3, 0, 1.0, 0.1, seed=0)
-        with pytest.raises(ValueError):
-            make_blobs(5, 3, 2, 0.0, 0.1, seed=0)
-        with pytest.raises(ValueError):
-            make_blobs(5, 3, 2, 1.0, 0.0, seed=0)
-
     @pytest.mark.filterwarnings("error")
     def test_overflowing_draw_is_rejected_without_a_warning(self):
         with pytest.raises(ValueError, match="the blob features overflow"):
-            make_blobs(5, 3, 2, 1.0, 1e308, seed=0)
+            blobs(n_per_class=5, classes=3, separation=1.0, spread=1e308, seed=0)
+
+    def test_desk_draw_is_pinned(self):
+        # every desk-scale acceptance figure trains on this draw; the digests were recorded before
+        # make_blobs took its DatasetConfig, so they also pin that the refactor kept every bit
+        def digest(array, dtype):
+            return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()[:16]
+
+        train, test = make_datasets(DatasetConfig())
+        assert [(ds.k, digest(ds.features, "<f8"), digest(ds.observed_labels, "<i8")) for ds in (train, test)] == [
+            (10, "36580b14d3c25eae", "c3556f4a243d7dc7"),
+            (10, "695ee7ec9e7c86fb", "bbdaed34ddb84891"),
+        ]
+        assert all(np.array_equal(ds.true_labels, ds.observed_labels) for ds in (train, test))
 
 
 class TestLoadIdx:

@@ -25,7 +25,7 @@ from noisylab.criteria import (
     PenaltyLabelSet,
     estimate_penalty_labels,
 )
-from noisylab.data import epoch_batches, make_blobs
+from noisylab.data import DatasetConfig, epoch_batches, make_blobs
 from noisylab.losses import ce_grad_logits
 from noisylab.network import Mlp, NumericalFault
 from noisylab.noise import NoiseSpec, build_transition, corrupt_labels
@@ -64,9 +64,7 @@ def small_config(**kwargs):
 
 @pytest.fixture(scope="module")
 def tiny_blobs():
-    train = make_blobs(30, 3, 2, 0.55, 0.11, seed=(4, 0))
-    test = make_blobs(10, 3, 2, 0.55, 0.11, seed=(4, 1))
-    return train, test
+    return make_blobs(DatasetConfig(n_per_class=30, test_per_class=10, classes=3, seed=4))
 
 
 class TestSelectTopR:
@@ -486,7 +484,7 @@ class TestRunExperiment:
         # the head is sized from the train set, so a test set with an extra
         # class would score every sample of that class as wrong
         train, _ = tiny_blobs
-        test = make_blobs(10, k, d, 0.55, 0.11, seed=(4, 1))
+        _, test = make_blobs(DatasetConfig(n_per_class=1, test_per_class=10, classes=k, dim=d, seed=4))
         message = f"test set (k, d) = {(k, d)} must equal the train set's (3, 2)"
         with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(small_config(), train, test, NoiseSpec("pair", 0.4))
@@ -852,8 +850,7 @@ class TestDeskScaleBehavior:
     def test_observed_score_selection_beats_no_selection_when_memorizing(self):
         # high-dimensional blobs: a plain run has capacity to fit the noise,
         # selection filters it out, so OL wins or ties on every seed
-        train = make_blobs(500, 10, 100, 0.5, 0.1, seed=(7, 0))
-        test = make_blobs(100, 10, 100, 0.5, 0.1, seed=(7, 1))
+        train, test = make_blobs(DatasetConfig(dim=100, separation=0.5, spread=0.1))
         plan = [
             TrainConfig(criteria=CriteriaConfig(variant=variant), seed=seed)
             for seed in (1, 2, 3)

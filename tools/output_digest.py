@@ -34,8 +34,11 @@ After the hashes it prints one line ``exit N  name  'stderr'`` per command of
 ``failing_commands``, which covers exit codes 2 to 5: bad flag lists, a
 repeated list item, missing and malformed config files and overrides, a
 config file that repeats a key, invalid values, an impossible noise kind, blob
-keys under ``kind: idx``, a missing IDX file, a blob draw that overflows, a
-diverging run, and an output path or a penalty-label path that is a file. Their outputs go to a temporary
+keys under ``kind: idx``, a missing IDX file, one class of blobs
+(``one-class-blobs``), an IDX quartet whose labels are all 0 (``one-class-idx``,
+a dataset error since the dataset layer checks the IDX class count), a blob
+draw that overflows, a diverging run, and an output path or a penalty-label
+path that is a file. Their outputs go to a temporary
 directory; in stderr that directory reads ``<tmp>`` and the checkout root
 ``<root>``, so two checkouts compare.
 
@@ -55,6 +58,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import idxgen  # noqa: E402  (perfbench/idxgen.py)
 from run import WORKLOADS, child_env, workload_inputs  # noqa: E402  (perfbench/run.py)
 
 BENCH_SEED = 1
@@ -115,6 +119,11 @@ def failing_commands(tmp: Path) -> dict[str, tuple[str, ...]]:
     (tmp / "output-is-a-file").write_text("taken\n")  # the --out that run_cli gives that command
     (tmp / "dumps-path-is-a-file").mkdir()
     (tmp / "dumps-path-is-a-file" / "penalty_labels").write_text("taken\n")
+    (tmp / "one-class").mkdir()  # an IDX quartet whose labels are all 0
+    quartet = idxgen.write_idx_quartet(tmp / "one-class", BENCH_SEED, classes=1, train_per_class=3, test_per_class=2)
+    # under kind: idx, the blob keys that quick.yaml sets go back to their defaults
+    one_class_idx = ["kind=idx", "classes=10", "n_per_class=500", "test_per_class=100"]
+    one_class_idx += [f"{key}={path}" for key, path in quartet.items()]
     run = ("run", *QUICK)
     return {
         "bad-lambda-list": ("sweep-lambda", *QUICK, "--lambdas", "1,-2"),
@@ -137,6 +146,8 @@ def failing_commands(tmp: Path) -> dict[str, tuple[str, ...]]:
             "--set", "dataset.dim=7", "--set", "dataset.separation=9.0",
         ),
         "missing-idx-file": ("run", "--config", str(idx)),
+        "one-class-blobs": (*run, "--set", "dataset.classes=1"),
+        "one-class-idx": (*run, *(f"--set=dataset.{assignment}" for assignment in one_class_idx)),
         "blob-overflow": (*run, "--set", "dataset.spread=1.0e+308"),
         "diverging-run": (*run, "--set", "train.learning_rate=1.0e+200"),
         "output-is-a-file": run,
