@@ -42,8 +42,8 @@ from .config import (
     apply_overrides,
     build_config,
     load_raw_config,
-    make_datasets,
 )
+from .data import make_datasets
 from .metrics import summarize_runs, write_metrics_csv, write_summary_json
 from .network import NumericalFault
 from .noise import SYMMETRY_WARN_ABOVE, build_transition
@@ -186,6 +186,7 @@ def _train(share: list[int], plan: list[TrainConfig], inputs: tuple):
 def _send(queue, runs) -> None:
     from multiprocessing.pool import ExceptionWithTraceback  # only helpers send, so only they pay for the import
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # so terminate() ends a helper at once, with no exit-time join
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C reaches the whole process group; the command ends helpers
     queue._reader.close()  # the command's death is then a broken pipe here, not a full one written to forever
     for elapsed, outcome in runs:
         if isinstance(outcome, Exception):  # it unpickles as the exception, the helper's traceback as its cause
@@ -234,8 +235,13 @@ def run_plan(plan: list[TrainConfig], train, test, spec):
 
 
 def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
+    if args.out == "":  # else an unset shell variable would send the outputs to ./results
+        raise UsageError("--out is empty: name an output directory, or leave the flag out for ./results")
     plan = [(run_id, replace(cfg, seed=seed)) for run_id, cfg in _plan(args, config) for seed in config.seeds]
-    train_clean, test = make_datasets(config.dataset)
+    try:
+        train_clean, test = make_datasets(config.dataset)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
     try:
         build_transition(config.noise, train_clean.k)
     except ValueError as exc:
@@ -273,8 +279,8 @@ def execute(args: argparse.Namespace, config: ExperimentConfig) -> Path:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     on_main_thread = threading.current_thread() is threading.main_thread()  # only it may set a signal handler
-    if on_main_thread:  # SIGTERM unwinds like SystemExit, so execute files the runs that finished
-        previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    stops = (signal.SIGTERM, signal.SIGINT) if on_main_thread else ()  # as SystemExit, so execute files finished runs
+    previous = [signal.signal(sig, lambda signum, frame: sys.exit(128 + signum)) for sig in stops]
     try:
         execute(args, _load_config(args))
     except tuple(_FAILURES) as exc:
@@ -283,8 +289,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[{code}]: " + str(exc).replace("\n", " "), file=sys.stderr)
         return status
     finally:
-        if on_main_thread:
-            signal.signal(signal.SIGTERM, previous)
+        for sig, handler in zip(stops, previous):
+            signal.signal(sig, handler)
     return EXIT_OK
 
 

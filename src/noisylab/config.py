@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from types import UnionType
@@ -19,7 +19,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .data import DatasetConfig, LabeledDataset, load_idx, make_blobs
+from .data import DatasetConfig
 from .noise import NoiseSpec
 from .trainer import TrainConfig
 
@@ -184,26 +184,3 @@ def build_config(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping into a typed experiment config."""
     return _build(ExperimentConfig, raw, "")
 
-
-def make_datasets(cfg: DatasetConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    """Build the clean train/test pair described by the dataset section.
-
-    IDX train and test sets share one class count, 1 + the largest label in
-    either file, so a class missing from one file still gets its head column.
-    """
-    try:
-        if cfg.kind == "blobs":
-            return make_blobs(cfg)
-        train = load_idx(cfg.images, cfg.labels)
-        test = load_idx(cfg.test_images, cfg.test_labels)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"dataset: {exc}") from exc
-    if train.d != test.d:
-        raise ConfigError(
-            f"dataset: images {cfg.images} have {train.d} features per sample "
-            f"but test_images {cfg.test_images} have {test.d}"
-        )
-    k = max(train.k, test.k)
-    if k < 2:  # a dataset fault, which the noise check would otherwise report as its own
-        raise ConfigError(f"dataset: the IDX labels give {k} class, but classes must be at least 2")
-    return replace(train, k=k), replace(test, k=k)

@@ -166,23 +166,37 @@ def _read_idx(path: str, magic: int, ndim: int) -> np.ndarray:
     return np.frombuffer(raw, np.uint8, count, header_len).reshape(dims)
 
 
-def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
-    """Load an images/labels IDX pair into a dataset.
-
-    Pixel features are flattened row-major and scaled from [0, 255] to
-    [0, 1]. The observed labels start out equal to the file labels;
-    corruption is a separate step.
-    """
+def _read_idx_pair(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
+    """An images/labels IDX pair as its pixel rows, each image flattened row-major, and its labels."""
     images = _read_idx(images_path, IMAGES_MAGIC, 3)
     labels = _read_idx(labels_path, LABELS_MAGIC, 1)
     n_img, rows, cols = images.shape
     if n_img != labels.size:
+        raise ValueError(f"{images_path} holds {n_img} images but {labels_path} holds {labels.size} labels")
+    return images.reshape(n_img, rows * cols), labels
+
+
+def make_datasets(config: DatasetConfig) -> tuple[LabeledDataset, LabeledDataset]:
+    """The clean train and test sets that the dataset section describes.
+
+    IDX pixels are scaled from [0, 255] to [0, 1], and the observed labels
+    start out equal to the file labels; corruption is a separate step. Train
+    and test share one class count, 1 + the largest label in either file, so
+    a class missing from one file still gets its head column.
+    """
+    if config.kind == "blobs":
+        return make_blobs(config)
+    pairs = _read_idx_pair(config.images, config.labels), _read_idx_pair(config.test_images, config.test_labels)
+    k = 1 + max(int(labels.max(initial=0)) for _, labels in pairs)
+    train, test = (LabeledDataset(pixels / 255.0, labels, labels, k) for pixels, labels in pairs)
+    if train.d != test.d:
         raise ValueError(
-            f"{images_path} holds {n_img} images but {labels_path} holds {labels.size} labels"
+            f"images {config.images} have {train.d} features per sample "
+            f"but test_images {config.test_images} have {test.d}"
         )
-    features = images.reshape(n_img, rows * cols) / 255.0
-    k = int(labels.max()) + 1 if labels.size else 1
-    return LabeledDataset(features, labels, labels, k)
+    if k < 2:  # a dataset fault, which the noise check would otherwise report as its own
+        raise ValueError(f"the IDX labels give {k} class, but classes must be at least 2")
+    return train, test
 
 
 def epoch_batches(

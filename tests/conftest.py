@@ -26,7 +26,7 @@ settings.load_profile("tier1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when noisylab first imports numpy
 
 from noisylab.cli import run_plan
-from noisylab.config import DatasetConfig, make_datasets
+from noisylab.data import DatasetConfig, make_datasets
 from noisylab.noise import NoiseSpec
 from noisylab.trainer import CriteriaConfig, PenaltyUpdate, TrainConfig, Variant
 

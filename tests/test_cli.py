@@ -177,11 +177,19 @@ class TestRunCommand:
 
 
 class TestOutputDir:
-    @pytest.mark.parametrize("out", [[], ["--out", ""]])
-    def test_results_is_the_default(self, config_path, tmp_path, monkeypatch, out):
+    def test_results_is_the_default(self, config_path, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["run", "--config", config_path, *out]) == EXIT_OK
+        assert main(["run", "--config", config_path]) == EXIT_OK
         assert (tmp_path / "results" / "metrics.csv").exists()
+
+    def test_empty_out_is_usage_before_any_output(self, config_path, tmp_path, monkeypatch, capsys):
+        # what --out "$OUT" passes with OUT unset; ./results could hold another command's outputs
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", config_path, "--out", ""]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error[USAGE]: --out is empty: name an output directory, or leave the flag out for ./results\n"
+        )
+        assert list(tmp_path.iterdir()) == [Path(config_path)]
 
     def test_output_dir_is_not_a_config_key(self, config_path, tmp_path, capsys):
         # --out alone names the output directory
@@ -471,9 +479,10 @@ class TestFailureExits:
         out = tmp_path / "o"
         assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG_INVALID
         err = capsys.readouterr().err
-        assert err.startswith("error[CONFIG_INVALID]: dataset: ")
-        assert str(tmp_path / "train-images") in err and str(tmp_path / "test-images") in err
-        assert "16 features" in err and "have 9" in err
+        assert err == (
+            f"error[CONFIG_INVALID]: dataset: images {tmp_path / 'train-images'} have 16 features per sample "
+            f"but test_images {tmp_path / 'test-images'} have 9\n"
+        )
         assert not out.exists()
 
     def test_missing_config_file_is_parse_error(self, tmp_path, capsys):
@@ -1237,7 +1246,7 @@ def running(pid):
 class TestSignals:
     """A signalled command files the runs it finished, and leaves no helper training or blocked behind it."""
 
-    def start(self, tmp_path, cpus):
+    def start(self, tmp_path, cpus, **popen):
         """Start ``run --seeds 1,2`` on ``cpus`` CPUs; once seed 1 is filed, return it and seed 2's trainer pid."""
         marks, out = tmp_path / "marks", tmp_path / "o"
         marks.mkdir()
@@ -1251,6 +1260,7 @@ class TestSignals:
                 env={**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1"},
                 stdout=subprocess.DEVNULL,
                 stderr=stderr,
+                **popen,
             )
         self.cleanup.append(command.kill)  # does nothing once the command is reaped
         wait_for(out / "penalty_labels" / "all-stacked-lam1.0-seed1.npy")
@@ -1283,6 +1293,19 @@ class TestSignals:
         assert {row.split(",")[1] for row in rows} == {"1"}
         assert [r["seed"] for r in read_summary(out)["runs"]] == [1]
         assert [line.split()[2] for line in (out / "run.log").read_text().splitlines()] == ["seed=1"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_ctrl_c_files_the_finished_runs_and_ends_the_helper_without_a_traceback(self, tmp_path, cpus):
+        # a terminal sends SIGINT to the whole process group: the command and its helpers
+        command, trainer = self.start(tmp_path, cpus, start_new_session=True)
+        os.killpg(command.pid, signal.SIGINT)
+        assert command.wait(timeout=60) == 128 + signal.SIGINT
+        assert not running(trainer)
+        assert (tmp_path / "stderr").read_text() == "children left: 0\n"
+        out = tmp_path / "o"
+        assert [r["seed"] for r in read_summary(out)["runs"]] == [1]
+        assert [line.split()[2] for line in (out / "run.log").read_text().splitlines()] == ["seed=1"]
+        assert [path.name for path in (out / "penalty_labels").iterdir()] == ["all-stacked-lam1.0-seed1.npy"]
 
     def test_a_helper_whose_command_was_killed_exits_once_its_share_is_trained(self, tmp_path):
         command, helper = self.start(tmp_path, 2)

@@ -15,15 +15,13 @@ from hypothesis import strategies as st
 from noisylab.config import (
     ConfigError,
     ConfigParseError,
-    DatasetConfig,
     ExperimentConfig,
     _UniqueKeyLoader,
     apply_overrides,
     build_config,
     load_raw_config,
-    make_datasets,
 )
-from noisylab.data import IMAGES_MAGIC, LABELS_MAGIC
+from noisylab.data import IMAGES_MAGIC, LABELS_MAGIC, DatasetConfig, make_datasets
 from noisylab.trainer import LossKind, PenaltyUpdate, Variant
 
 

@@ -5,8 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from noisylab.config import make_datasets
 from noisylab.data import (
     IMAGES_MAGIC,
     LABELS_MAGIC,
@@ -14,8 +15,8 @@ from noisylab.data import (
     LabeledDataset,
     class_centers,
     epoch_batches,
-    load_idx,
     make_blobs,
+    make_datasets,
 )
 
 
@@ -29,6 +30,13 @@ def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, n_images=None, n_la
     img.write_bytes(struct.pack(">IIII", IMAGES_MAGIC, img_count, rows, cols) + bytes(pixels))
     lab.write_bytes(struct.pack(">II", LABELS_MAGIC, lab_count) + bytes(labels))
     return str(img), str(lab)
+
+
+def quartet(images, labels, test_images=None, test_labels=None):
+    """An IDX dataset config; a pair given alone serves as both train and test."""
+    return DatasetConfig(
+        kind="idx", images=images, labels=labels, test_images=test_images or images, test_labels=test_labels or labels
+    )
 
 
 class TestLabeledDataset:
@@ -123,73 +131,100 @@ class TestLoadIdx:
     def test_roundtrip_with_normalization(self, tmp_path):
         pixels = [0, 255, 128, 64] * 3
         img, lab = write_idx_pair(tmp_path, pixels, [0, 2, 1])
-        ds = load_idx(img, lab)
-        assert ds.n == 3
-        assert ds.d == 4
-        assert ds.k == 3
-        assert ds.features[0, 1] == 1.0
-        assert ds.features[0, 0] == 0.0
-        assert ds.features[0, 2] == pytest.approx(128 / 255)
-        assert np.array_equal(ds.true_labels, [0, 2, 1])
+        for ds in make_datasets(quartet(img, lab)):
+            assert ds.n == 3
+            assert ds.d == 4
+            assert ds.k == 3
+            assert ds.features[0, 1] == 1.0
+            assert ds.features[0, 0] == 0.0
+            assert ds.features[0, 2] == pytest.approx(128 / 255)
+            assert np.array_equal(ds.true_labels, [0, 2, 1])
 
     def test_bad_magic(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, [0, 0, 0, 0], [0])
         broken = tmp_path / "broken.idx"
         broken.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + bytes(4))
         with pytest.raises(ValueError, match="bad magic 0xdeadbeef"):
-            load_idx(str(broken), lab)
+            make_datasets(quartet(str(broken), lab))
 
     def test_count_mismatch(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, [0] * 8, [0, 1], n_labels=3)
         lab_path = tmp_path / "labels.idx"
         lab_path.write_bytes(struct.pack(">II", LABELS_MAGIC, 3) + bytes([0, 1, 1]))
         with pytest.raises(ValueError, match="holds 2 images but .* holds 3 labels"):
-            load_idx(img, str(lab_path))
+            make_datasets(quartet(img, str(lab_path)))
 
     def test_truncated_payload(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, [0, 0], [0])  # needs 4 pixels
         with pytest.raises(ValueError, match="images.idx: payload cut short"):
-            load_idx(img, lab)
+            make_datasets(quartet(img, lab))
 
     def test_truncated_header(self, tmp_path):
         stub = tmp_path / "stub.idx"
         stub.write_bytes(b"\x00\x00")
         img, lab = write_idx_pair(tmp_path, [0, 0, 0, 0], [0])
         with pytest.raises(ValueError, match="stub.idx: header cut short"):
-            load_idx(str(stub), lab)
+            make_datasets(quartet(str(stub), lab))
 
     def test_truncated_labels_header(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, [0, 0, 0, 0], [0])
         stub = tmp_path / "stub.idx"
         stub.write_bytes(struct.pack(">I", LABELS_MAGIC))
         with pytest.raises(ValueError, match="header cut short"):
-            load_idx(img, str(stub))
+            make_datasets(quartet(img, str(stub)))
 
     def test_truncated_labels_payload(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, [0] * 8, [0, 1])
         short = tmp_path / "short.idx"
         short.write_bytes(struct.pack(">II", LABELS_MAGIC, 2) + bytes([0]))
         with pytest.raises(ValueError, match="short.idx: payload cut short"):
-            load_idx(img, str(short))
+            make_datasets(quartet(img, str(short)))
 
     def test_bad_labels_magic(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, [0, 0, 0, 0], [0])
         broken = tmp_path / "broken.idx"
         broken.write_bytes(struct.pack(">II", IMAGES_MAGIC, 1) + bytes(1))
         with pytest.raises(ValueError, match="bad magic 0x00000803"):
-            load_idx(img, str(broken))
+            make_datasets(quartet(img, str(broken)))
 
     def test_zero_images_is_an_empty_dataset_error(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, [], [])
         with pytest.raises(ValueError, match="features must be a non-empty n x d matrix"):
-            load_idx(img, lab)
+            make_datasets(quartet(img, lab))
 
     def test_pixels_and_labels_are_copied_out_of_the_file_bytes(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, [10, 20, 30, 40], [1])
-        ds = load_idx(img, lab)
-        assert ds.features.flags.writeable and ds.features.flags.owndata
-        assert ds.observed_labels is not ds.true_labels
-        assert ds.true_labels.dtype == np.int64
+        for ds in make_datasets(quartet(img, lab)):
+            assert ds.features.flags.writeable and ds.features.flags.owndata
+            assert ds.observed_labels is not ds.true_labels
+            assert ds.true_labels.dtype == np.int64
+
+    @given(st.data(), st.lists(st.integers(0, 255), min_size=1, max_size=6), st.integers(1, 3))
+    def test_a_quartet_shares_one_class_count_and_keeps_its_pixels_and_labels(
+        self, tmp_path_factory, data, train_labels, width
+    ):
+        test_labels = data.draw(st.lists(st.integers(0, 255), min_size=1, max_size=6))
+        test_width = data.draw(st.integers(1, 3))
+        directory = tmp_path_factory.mktemp("quartet")
+        halves = []
+        for name, labels, d in (("train", train_labels, width), ("test", test_labels, test_width)):
+            pixels = data.draw(st.lists(st.integers(0, 255), min_size=len(labels) * d, max_size=len(labels) * d))
+            (directory / name).mkdir()
+            halves.append((write_idx_pair(directory / name, pixels, labels, rows=1, cols=d), pixels, labels))
+        config = quartet(*halves[0][0], *halves[1][0])
+        k = 1 + max(train_labels + test_labels)
+        if width != test_width:
+            with pytest.raises(ValueError, match=f"have {width} features per sample but .* have {test_width}$"):
+                make_datasets(config)
+        elif k < 2:
+            with pytest.raises(ValueError, match="^the IDX labels give 1 class, but classes must be at least 2$"):
+                make_datasets(config)
+        else:
+            for ds, (_, pixels, labels) in zip(make_datasets(config), halves):
+                assert ds.k == k
+                assert np.array_equal(ds.features, np.reshape(pixels, (len(labels), width)) / 255)
+                assert np.array_equal(ds.true_labels, labels)
+                assert np.array_equal(ds.observed_labels, ds.true_labels)
 
 
 class TestEpochBatches:

@@ -48,7 +48,7 @@ if __name__ == "__main__":  # one BLAS thread per process, set before numpy is f
 import numpy as np  # noqa: E402
 
 from noisylab.cli import run_plan  # noqa: E402
-from noisylab.config import DatasetConfig, make_datasets  # noqa: E402
+from noisylab.data import DatasetConfig, make_datasets  # noqa: E402
 from noisylab.noise import NoiseSpec  # noqa: E402
 from noisylab.trainer import CriteriaConfig, PenaltyUpdate, RunResult, TrainConfig, Variant  # noqa: E402
 

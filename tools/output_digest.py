@@ -36,11 +36,12 @@ repeated list item, missing and malformed config files and overrides, a
 config file that repeats a key, invalid values, an impossible noise kind, blob
 keys under ``kind: idx``, a missing IDX file, one class of blobs
 (``one-class-blobs``), an IDX quartet whose labels are all 0 (``one-class-idx``,
-a dataset error since the dataset layer checks the IDX class count), a blob
-draw that overflows, a diverging run, and an output path or a penalty-label
-path that is a file. Their outputs go to a temporary
-directory; in stderr that directory reads ``<tmp>`` and the checkout root
-``<root>``, so two checkouts compare.
+a dataset error since the dataset layer checks the IDX class count), an IDX
+quartet whose test images are 2x2 beside idx784's 28x28 train images
+(``idx-width-mismatch``), a blob draw that overflows, a diverging run, and
+an output path or a penalty-label path that is a file. Their outputs go to a
+temporary directory; in stderr that directory reads ``<tmp>`` and the
+checkout root ``<root>``, so two checkouts compare.
 
 To check that a change keeps the outputs byte-identical, run the script in a
 checkout of the change and in one of its parent (copy the script there if the
@@ -50,6 +51,7 @@ parent lacks it), then diff the two listings.
 from __future__ import annotations
 
 import hashlib
+import struct
 import subprocess
 import sys
 import tempfile
@@ -124,6 +126,14 @@ def failing_commands(tmp: Path) -> dict[str, tuple[str, ...]]:
     # under kind: idx, the blob keys that quick.yaml sets go back to their defaults
     one_class_idx = ["kind=idx", "classes=10", "n_per_class=500", "test_per_class=100"]
     one_class_idx += [f"{key}={path}" for key, path in quartet.items()]
+    two_by_two = tmp / "two-by-two"  # a test pair of 2x2 images beside idx784's 28x28 train pair
+    two_by_two.mkdir()
+    (two_by_two / "images").write_bytes(struct.pack(">IIII", idxgen.IMAGES_MAGIC, 2, 2, 2) + bytes(8))
+    (two_by_two / "labels").write_bytes(struct.pack(">II", idxgen.LABELS_MAGIC, 2) + bytes([0, 1]))
+    idx_width_mismatch = (
+        *WORKLOADS["idx784"].cli_args, *workload_inputs("idx784", BENCH_SEED, tmp),
+        f"--set=dataset.test_images={two_by_two / 'images'}", f"--set=dataset.test_labels={two_by_two / 'labels'}",
+    )
     run = ("run", *QUICK)
     return {
         "bad-lambda-list": ("sweep-lambda", *QUICK, "--lambdas", "1,-2"),
@@ -148,6 +158,7 @@ def failing_commands(tmp: Path) -> dict[str, tuple[str, ...]]:
         "missing-idx-file": ("run", "--config", str(idx)),
         "one-class-blobs": (*run, "--set", "dataset.classes=1"),
         "one-class-idx": (*run, *(f"--set=dataset.{assignment}" for assignment in one_class_idx)),
+        "idx-width-mismatch": idx_width_mismatch,
         "blob-overflow": (*run, "--set", "dataset.spread=1.0e+308"),
         "diverging-run": (*run, "--set", "train.learning_rate=1.0e+200"),
         "output-is-a-file": run,
