@@ -71,6 +71,7 @@ class CriteriaConfig:
         object.__setattr__(self, "variant", Variant(self.variant))
         if not 0.0 <= self.lam < math.inf:  # NaN fails this too
             raise ValueError("lambda must be finite and non-negative")
+        object.__setattr__(self, "lam", self.lam + 0.0)  # -0.0 + 0.0 is 0.0: a -0 lambda is the run of 0
 
 
 @dataclass(frozen=True)
@@ -166,8 +167,7 @@ class TrainState:
 
     net: Mlp
     opt: MomentumSgd
-    penalty: PenaltyLabelSet
-    estimates: dict[PenaltyUpdate, PenaltyLabelSet] = field(default_factory=dict)  # per strategy
+    penalty: PenaltyLabelSet  # what the next epoch reads
 
 
 @dataclass(frozen=True)
@@ -204,11 +204,11 @@ def predict_in_chunks(net: Mlp, features: np.ndarray) -> np.ndarray:
 
 def train_epoch(
     state: TrainState, dataset: LabeledDataset, config: TrainConfig, epoch: int, strategies: tuple = ()
-) -> EpochStats:
+) -> tuple[EpochStats, dict[PenaltyUpdate, PenaltyLabelSet]]:
     """Run one epoch in place and refresh the penalty estimate at its end.
 
-    ``state.estimates`` holds the estimate of its strategy and of each one in ``strategies``.
-    Consumed penalty labels must carry the previous epoch's stamp; anything
+    Returns the epoch's stats and the estimates of its strategy and of each one in ``strategies``.
+    The penalty labels it starts from must carry the previous epoch's stamp; anything
     else means the update order broke, and the epoch refuses to run.
     """
     k = dataset.k
@@ -216,12 +216,11 @@ def train_epoch(
     selecting = criteria.variant is not Variant.NONE
     if selecting and config.select_fraction is None:
         raise ValueError("select_fraction is unset; resolve it before training")
-    if criteria.variant in (Variant.PL, Variant.ALL):
-        if state.penalty.epoch_of_estimate != epoch - 1:
-            raise RuntimeError(
-                f"penalty labels stamped {state.penalty.epoch_of_estimate} "
-                f"consumed in epoch {epoch}"
-            )
+    if state.penalty.epoch_of_estimate != epoch - 1:  # whether the epoch reads them is epoch_key's to say
+        raise RuntimeError(
+            f"penalty labels stamped {state.penalty.epoch_of_estimate} "
+            f"consumed in epoch {epoch}"
+        )
 
     eye = np.eye(k)
     grad_fn = ce_grad_logits if config.loss is LossKind.CE else partial(sl_grad_logits, config=config.sl)
@@ -249,22 +248,22 @@ def train_epoch(
         grads = state.net.backward(fwd.inputs[0], targets, grad_fn, forward=fwd)
         state.opt.step(state.net, grads, epoch)
 
-    state.estimates = {}
+    estimates = {}
     if stacked is not None:  # estimated and let go before the repredict pass, which needs as much memory
-        state.estimates[PenaltyUpdate.STACKED] = estimate_penalty_labels(stacked, epoch)
+        estimates[PenaltyUpdate.STACKED] = estimate_penalty_labels(stacked, epoch)
         stacked = None
     if PenaltyUpdate.REPREDICT in wanted:
         repredicted = ConfidenceAccumulator(k)
         repredicted.stack_confidences(predict_in_chunks(state.net, dataset.features), dataset.observed_labels)
-        state.estimates[PenaltyUpdate.REPREDICT] = estimate_penalty_labels(repredicted, epoch)
-    state.penalty = state.estimates[config.penalty_update]
+        estimates[PenaltyUpdate.REPREDICT] = estimate_penalty_labels(repredicted, epoch)
+    state.penalty = estimates[config.penalty_update]
 
     rows = np.concatenate(trained)
     return EpochStats(
         rows.size,
         selection_precision(rows, dataset.clean_mask) if selecting else None,
         tuple(int(c) for c in np.bincount(dataset.observed_labels[rows], minlength=k)),
-    )
+    ), estimates
 
 
 def resolve_select_fraction(config: TrainConfig, noise_spec: NoiseSpec) -> float:
@@ -372,13 +371,13 @@ def run_experiment(
                 state.net.params[:], state.opt.velocity[:] = weights
             own = config.penalty_update
             others = tuple(s for s in PenaltyUpdate if users[key, s] > (s is own))  # what other runs use
-            stats = train_epoch(state, noisy, resolved, epoch, others)
+            stats, estimates = train_epoch(state, noisy, resolved, epoch, others)
             predictions = np.argmax(predict_in_chunks(state.net, test.features), axis=1)
             record = RunRecord(**vars(stats), epoch=epoch, test_error=test_error(predictions, test.true_labels))
             if others:  # keep the weights if some of its runs part from this one after it, to train a later epoch
                 parting = epoch + 1 < config.epochs and readers[epoch_key(config, epoch + 1)] < readers[key]
                 kept = (state.net.params.copy(), state.opt.velocity.copy()) if parting else None
-                found[key] = (record, {s: state.estimates[s] for s in others}, kept)
+                found[key] = (record, {s: estimates[s] for s in others}, kept)
         readers[key] -= 1
         if not readers[key]:
             found.pop(key, None)

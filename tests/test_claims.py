@@ -1,13 +1,15 @@
-"""tools/claims.py: its sign test, and its acceptance row on the acceptance tests' own runs."""
+"""tools/claims.py: its sign test, its acceptance row on the acceptance tests' own runs, and its far layout."""
 
 import importlib.util
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import ACCEPT_SEEDS
+from noisylab.data import DatasetConfig, class_centers, make_datasets
 from test_acceptance import mean_best_error, mean_final_precision
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,3 +52,23 @@ def test_seeds_1_to_3_row_is_what_acceptance_tests_07_to_10_compute(
         mean_best_error(pair40_all_lam0) - mean_best_error(pair40_all),  # the table reads lambda 0 from ol
     ]
     assert claims.acceptance_gaps(runs, slice(0, 3)) == [(gap, True) for gap in gaps]
+
+
+def test_far_layout_puts_every_pair_target_3_centres_away_on_the_ring():
+    config = DatasetConfig()  # the desk blobs the battery trains on
+    k = config.classes
+    sigma = claims.far_labels(k)
+    assert sorted(sigma.tolist()) == list(range(k))  # a permutation of the labels
+    centre = np.argsort(sigma)  # label -> the centre whose blob carries it
+    target = centre[(np.arange(k) + 1) % k]  # pair noise sends label L to L + 1
+    steps = (target - centre) % k
+    assert np.minimum(steps, k - steps).tolist() == [3] * k
+    centres = class_centers(k, config.dim, config.separation)
+    gaps = np.linalg.norm(centres[target] - centres[centre], axis=1)
+    assert gaps == pytest.approx(np.full(k, np.linalg.norm(centres[3] - centres[0])))
+    assert gaps.min() > 2.6 * config.separation  # against the adjacent blob's separation
+    for before in make_datasets(config):
+        after = claims.far_layout(before)
+        assert after.features is before.features
+        assert np.array_equal(after.true_labels, sigma[before.true_labels])
+        assert np.array_equal(after.observed_labels, after.true_labels)

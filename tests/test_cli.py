@@ -130,6 +130,15 @@ class TestRunCommand:
         # the noise overrides reach execute, which flags a symmetric rate above the tested range
         assert capsys.readouterr().err == "warning: symmetric noise rate 0.7 is above 0.6, outside the tested range\n"
 
+    def test_negative_zero_lambda_is_the_run_of_zero(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        args = ["run", "--config", config_path, "--out", str(out), "--set", "train.criteria.lambda=-0.0"]
+        assert main(args) == EXIT_OK
+        group = read_summary(out)["groups"][0]
+        assert group["run_id"] == "all-stacked-lam0.0"
+        assert json.dumps(group["lambda"]) == "0.0"
+        assert (out / "metrics.csv").read_text().splitlines()[1].startswith("all-stacked-lam0.0,1,all,0.0,")
+
     def test_seeds_flag_overrides_config(self, config_path, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", config_path, "--out", str(out), "--seeds", "5,6"])
@@ -337,6 +346,7 @@ class TestSweepAndCompare:
             ["compare", "--variants", "ol,all", "--strategies", "stacked,stacked"],
             ["sweep-lambda", "--lambdas", "0.5,0.5"],
             ["sweep-lambda", "--lambdas", "1,1.0"],
+            ["sweep-lambda", "--lambdas", "0,-0"],
         ],
     )
     def test_repeated_list_item_is_usage_before_any_output(

@@ -264,6 +264,13 @@ seeds: [4, 5]
         # a key set to its default cannot be told from an unset one
         assert build_config({"dataset": {**idx, "classes": 10, "separation": 0.55}}).dataset.kind == "idx"
 
+    def test_blob_keys_are_the_fields_between_kind_and_the_idx_paths(self):
+        # DatasetConfig's blob-key check reads fields(self)[1:-4]: a new key joins or leaves it only with this test
+        names = [f.name for f in fields(DatasetConfig)]
+        assert names[0] == "kind"
+        assert names[1:-4] == ["n_per_class", "test_per_class", "classes", "dim", "separation", "spread", "seed"]
+        assert names[-4:] == ["images", "labels", "test_images", "test_labels"]
+
 
 class TestMakeDatasets:
     def test_blob_pair_disjoint_but_reproducible(self):

@@ -210,7 +210,7 @@ class TestTrainEpoch:
         train, _ = tiny_blobs
         cfg = small_config(criteria=CriteriaConfig(variant=Variant.ALL), select_fraction=60.0)
         state = init_state(cfg, train.d, train.k)
-        stats = train_epoch(state, train, cfg, epoch=0)
+        stats, _ = train_epoch(state, train, cfg, epoch=0)
         assert stats.train_selected == train.n
         assert stats.precision is None
         assert stats.selected_per_class == (30, 30, 30)
@@ -230,7 +230,7 @@ class TestTrainEpoch:
         state = init_state(cfg, train.d, train.k)
         train_epoch(state, train, cfg, epoch=0)
         train_epoch(state, train, cfg, epoch=1)
-        stats = train_epoch(state, train, cfg, epoch=2)
+        stats, _ = train_epoch(state, train, cfg, epoch=2)
         # ceil(30 * 0.6) per full batch of 32? batches are 32, 32, 26 at n=90
         assert stats.train_selected < train.n
         assert stats.train_selected == sum(
@@ -257,7 +257,7 @@ class TestTrainEpoch:
             return real_forward(net, x)
 
         monkeypatch.setattr(Mlp, "_forward", counting_forward)
-        stats = train_epoch(state, train, cfg, epoch=0)
+        stats, _ = train_epoch(state, train, cfg, epoch=0)
         batches = epoch_batches(train, cfg.batch_size, (cfg.seed, SHUFFLE_STREAM), 0)
         assert calls == [b.size for b in batches]
         assert stats.train_selected < train.n
@@ -293,14 +293,25 @@ class TestTrainEpoch:
             assert stacks == [train.n]
         assert folds == [1]
 
-    def test_stale_penalty_refused(self, tiny_blobs):
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_stale_penalty_refused(self, tiny_blobs, variant):
+        # every variant, whether or not it reads penalty labels: the stamp rule knows no variant
         train, _ = tiny_blobs
-        cfg = small_config(
-            criteria=CriteriaConfig(variant=Variant.ALL), select_fraction=60.0, warmup_epochs=0
-        )
+        cfg = small_config(criteria=CriteriaConfig(variant=variant), select_fraction=60.0, warmup_epochs=0)
         state = init_state(cfg, train.d, train.k)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="penalty labels stamped -1 consumed in epoch 5"):
             train_epoch(state, train, cfg, epoch=5)
+
+    @pytest.mark.parametrize("own", list(PenaltyUpdate))
+    @pytest.mark.parametrize("strategies", [(), tuple(PenaltyUpdate)])
+    def test_returns_the_estimates_it_made(self, tiny_blobs, own, strategies):
+        train, _ = tiny_blobs
+        cfg = small_config(criteria=CriteriaConfig(variant=Variant.NONE), penalty_update=own)
+        state = init_state(cfg, train.d, train.k)
+        _, estimates = train_epoch(state, train, cfg, 0, strategies)
+        assert set(estimates) == {own, *strategies}
+        assert estimates[own] is state.penalty  # what the next epoch reads
+        assert all(estimate.epoch_of_estimate == 0 for estimate in estimates.values())
 
     def test_unresolved_fraction_refused(self, tiny_blobs):
         train, _ = tiny_blobs
@@ -606,6 +617,16 @@ class TestEpochCache:
         assert second.replayed == ol.epochs
         assert all(b is a for a, b in zip(first.records, second.records, strict=True))  # the epoch's own record
         assert second.records == run_experiment(plan[1], train, test, spec).records
+
+    def test_an_entry_keeps_only_the_estimates_other_runs_read(self, tiny_blobs):
+        # the stacked run trains every epoch; only the repredict run reads the cache, so the stacked
+        # estimate, which the trainer alone reads, stays out of every entry
+        train, test = tiny_blobs
+        spec = NoiseSpec("pair", 0.4)
+        ol = small_config(criteria=CriteriaConfig(Variant.OL))
+        cache = EpochCache([ol, replace(ol, penalty_update=PenaltyUpdate.REPREDICT)], train, test, spec)
+        run_experiment(ol, train, test, spec, cache)
+        assert [set(estimates) for _, estimates, _ in cache.found.values()] == [{PenaltyUpdate.REPREDICT}] * ol.epochs
 
     @pytest.mark.parametrize("other", ["train", "test", "spec"])
     def test_refuses_a_cache_built_for_other_inputs(self, tiny_blobs, other):

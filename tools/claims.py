@@ -10,6 +10,12 @@ and ``all`` with the repredict update; under symmetric noise 0.4, ``ol`` and
 ``all``. A lambda = 0 run is bit-equal to ``ol`` (acceptance test 06), so
 lambda = 0 is read from ``ol``.
 
+The desk blobs sit on a ring, and pair noise sends label L to L + 1, the
+adjacent blob. The far layout relabels the same blobs, train and test: the
+blob at centre i carries label 3i mod 10, so label L + 1 sits 3 centres from
+label L. Under pair noise 0.4 the battery trains ``none``, ``ol`` and ``all``
+on it too.
+
 The tables, printed as markdown; ``--only NAME`` prints one and trains only
 the runs it reads:
 
@@ -23,10 +29,14 @@ the runs it reads:
 * ``sym-seeds``: per seed under symmetric noise, final precision, best and
   final error of ``ol`` and ``all``, and the last epoch's smallest kept
   class count over the median one, where a starved class shows.
+* ``far-pair``: per layout under pair noise, the seed means of best and
+  final error of ``none``, ``ol`` and ``all`` and the final precision of
+  ``ol`` and ``all``, and the seeds on which ``all`` beats, ties and loses to
+  ``none`` and ``ol`` on best and on final error (W-T-L).
 
 Floats print with fixed digits and no wall clock is printed, so two runs,
 and a run on one CPU or on several, print the same bytes. The default grid
-takes about a minute on two cores.
+takes about two and a half minutes on two cores.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ import math
 import os
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -48,7 +59,7 @@ if __name__ == "__main__":  # one BLAS thread per process, set before numpy is f
 import numpy as np  # noqa: E402
 
 from noisylab.cli import run_plan  # noqa: E402
-from noisylab.data import DatasetConfig, make_datasets  # noqa: E402
+from noisylab.data import DatasetConfig, LabeledDataset, make_datasets  # noqa: E402
 from noisylab.noise import NoiseSpec  # noqa: E402
 from noisylab.trainer import CriteriaConfig, PenaltyUpdate, RunResult, TrainConfig, Variant  # noqa: E402
 
@@ -56,29 +67,44 @@ SEEDS = tuple(range(1, 22))
 EPSILON = 0.4
 Runs = dict[str, list[RunResult]]  # run name -> its results, one per seed in order
 
-# run name -> (noise kind, selection variant, penalty update)
+# run name -> (blob layout, noise kind, selection variant, penalty update)
 RUNS = {
-    "pair-none": ("pair", Variant.NONE, PenaltyUpdate.STACKED),
-    "pair-ol": ("pair", Variant.OL, PenaltyUpdate.STACKED),
-    "pair-all": ("pair", Variant.ALL, PenaltyUpdate.STACKED),
-    "pair-all-repredict": ("pair", Variant.ALL, PenaltyUpdate.REPREDICT),
-    "sym-ol": ("symmetry", Variant.OL, PenaltyUpdate.STACKED),
-    "sym-all": ("symmetry", Variant.ALL, PenaltyUpdate.STACKED),
+    "pair-none": ("adjacent", "pair", Variant.NONE, PenaltyUpdate.STACKED),
+    "pair-ol": ("adjacent", "pair", Variant.OL, PenaltyUpdate.STACKED),
+    "pair-all": ("adjacent", "pair", Variant.ALL, PenaltyUpdate.STACKED),
+    "pair-all-repredict": ("adjacent", "pair", Variant.ALL, PenaltyUpdate.REPREDICT),
+    "sym-ol": ("adjacent", "symmetry", Variant.OL, PenaltyUpdate.STACKED),
+    "sym-all": ("adjacent", "symmetry", Variant.ALL, PenaltyUpdate.STACKED),
+    "far-none": ("far", "pair", Variant.NONE, PenaltyUpdate.STACKED),
+    "far-ol": ("far", "pair", Variant.OL, PenaltyUpdate.STACKED),
+    "far-all": ("far", "pair", Variant.ALL, PenaltyUpdate.STACKED),
 }
 
 
+def far_labels(k: int) -> np.ndarray:
+    """Label sigma(i) = 3i mod k of the blob at centre i, a permutation when k and 3 are coprime."""
+    return 3 * np.arange(k) % k
+
+
+def far_layout(dataset: LabeledDataset) -> LabeledDataset:
+    """The same blobs, the one at centre i labelled sigma(i): pair noise's target L + 1 sits 3 centres from L."""
+    sigma = far_labels(dataset.k)
+    return replace(dataset, true_labels=sigma[dataset.true_labels], observed_labels=sigma[dataset.observed_labels])
+
+
 def train_battery(names: list[str]) -> Runs:
-    """Train the named runs at every seed, one ``run_plan`` call per noise kind."""
-    train, test = make_datasets(DatasetConfig())
+    """Train the named runs at every seed, one ``run_plan`` call per layout and noise kind."""
+    adjacent = make_datasets(DatasetConfig())
+    layouts = {"adjacent": adjacent, "far": tuple(map(far_layout, adjacent))}
     runs: Runs = {}
-    for kind in dict.fromkeys(RUNS[name][0] for name in names):
-        wanted = [name for name in names if RUNS[name][0] == kind]
+    for layout, kind in dict.fromkeys(RUNS[name][:2] for name in names):
+        wanted = [name for name in names if RUNS[name][:2] == (layout, kind)]
         plan = [
-            TrainConfig(criteria=CriteriaConfig(variant=RUNS[name][1]), penalty_update=RUNS[name][2], seed=seed)
+            TrainConfig(criteria=CriteriaConfig(variant=RUNS[name][2]), penalty_update=RUNS[name][3], seed=seed)
             for name in wanted
             for seed in SEEDS
         ]
-        results = [result for _, result in run_plan(plan, train, test, NoiseSpec(kind, EPSILON))]
+        results = [result for _, result in run_plan(plan, *layouts[layout], NoiseSpec(kind, EPSILON))]
         for i, name in enumerate(wanted):
             runs[name] = results[i * len(SEEDS) : (i + 1) * len(SEEDS)]
     return runs
@@ -186,11 +212,29 @@ def sym_seeds(runs: Runs) -> str:
     return table(["symmetric 0.4, seed", *(f"{column} `ol` / `all`" for column in columns)], rows)
 
 
+def far_pair(runs: Runs) -> str:
+    rows = []
+    for layout, prefix in (("adjacent", "pair"), ("3 centres away", "far")):
+        none, ol, all_ = (f"{prefix}-{variant}" for variant in ("none", "ol", "all"))
+        cells = [layout, f"{mean(runs, none, best):.4f} / {mean(runs, none, final):.4f}"]
+        for name in (ol, all_):
+            cells.append(" / ".join(f"{mean(runs, name, metric):.4f}" for metric in (best, final, precision)))
+        for name in (none, ol):  # ``all`` wins where its error is below
+            wtl = ("{2}-{1}-{0}".format(*signs(runs, all_, name, metric)) for metric in (best, final))
+            cells.append(" / ".join(wtl))
+        rows.append(cells)
+    header = ["pair 0.4 target", "`none` best / final"]
+    header += [f"`{name}` best / final / precision" for name in ("ol", "all")]
+    header += [f"`all` vs `{name}`, best / final (W-T-L)" for name in ("none", "ol")]
+    return table(header, rows)
+
+
 # table name -> (its printer, the runs it reads)
 TABLES = {
     "desk-pair": (desk_pair, ["pair-none", "pair-ol", "pair-all", "pair-all-repredict"]),
     "acceptance-seeds": (acceptance_seeds, ["pair-ol", "pair-all", "pair-all-repredict", "sym-ol", "sym-all"]),
     "sym-seeds": (sym_seeds, ["sym-ol", "sym-all"]),
+    "far-pair": (far_pair, ["pair-none", "pair-ol", "pair-all", "far-none", "far-ol", "far-all"]),
 }
 
 

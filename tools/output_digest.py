@@ -32,9 +32,10 @@ trains everything in one process and prints the same listing.
 
 After the hashes it prints one line ``exit N  name  'stderr'`` per command of
 ``failing_commands``, which covers exit codes 2 to 5: bad flag lists, a
-repeated list item, missing and malformed config files and overrides, a
-config file that repeats a key, invalid values, an impossible noise kind, blob
-keys under ``kind: idx``, a missing IDX file, one class of blobs
+repeated list item, a lambda list whose 0 and -0 are one lambda
+(``negative-zero-lambda``), missing and malformed config files and
+overrides, a config file that repeats a key, invalid values, an impossible
+noise kind, blob keys under ``kind: idx``, a missing IDX file, one class of blobs
 (``one-class-blobs``), an IDX quartet whose labels are all 0 (``one-class-idx``,
 a dataset error since the dataset layer checks the IDX class count), an IDX
 quartet whose test images are 2x2 beside idx784's 28x28 train images
@@ -139,6 +140,7 @@ def failing_commands(tmp: Path) -> dict[str, tuple[str, ...]]:
         "bad-lambda-list": ("sweep-lambda", *QUICK, "--lambdas", "1,-2"),
         "bad-variant-list": ("compare", *QUICK, "--variants", "bogus"),
         "repeated-variant": ("compare", *QUICK, "--variants", "ol,ol"),
+        "negative-zero-lambda": ("sweep-lambda", *QUICK, "--lambdas", "0,-0"),
         "missing-config-file": ("run", "--config", str(tmp / "absent.yaml")),
         "malformed-config-file": ("run", "--config", str(broken)),
         "repeated-key": ("run", "--config", str(twice)),
